@@ -39,11 +39,8 @@ from .numerics import (  # noqa: E402
     Interval,
     NonConvergenceError,
     QuadratureResult,
-    cauchy_pdf,
     central_t_pdf,
     integrate,
-    ln_gamma,
-    noncentral_t_pdf,
     reg_inc_beta,
     student_t_cdf,
     student_t_quantile,

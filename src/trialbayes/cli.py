@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -22,12 +21,8 @@ from .engine import (
     AnalysisConfig,
     InternalConsistencyError,
     StudyRecord,
-    TTestSummary,
     analyze_study,
-    analyze_summary,
     classify_evidence,
-    summarize,
-    t_from_p,
 )
 from .io import (
     ADUCANUMAB_META_GROUPS,
@@ -35,11 +30,10 @@ from .io import (
     emit_charts,
     load_bundled_dataset,
     parse_dataset,
+    pool_groups,
     render_report,
-    report_to_dict,
     run_reanalysis,
 )
-from .meta import MetaInput, meta_bf
 from .numerics import DomainError, NonConvergenceError
 
 EXIT_OK = 0
@@ -106,12 +100,19 @@ def _build_parser() -> _Parser:
 
 
 def _parse_groups(specs: list[str]) -> dict:
+    """--group specs as {name: [(trial, arm), ...]}."""
     groups = {}
     for spec in specs:
         name, sep, members = spec.partition("=")
         if not sep or not name or not members:
             raise UsageError(f"bad --group spec {spec!r}, expected NAME=TRIAL.ARM,...")
-        groups[name] = [m.strip() for m in members.split(",") if m.strip()]
+        pairs = []
+        for member in filter(None, (m.strip() for m in members.split(","))):
+            trial, sep, arm = member.partition(".")
+            if not sep:
+                raise UsageError(f"group member {member!r} is not 'TRIAL.ARM'")
+            pairs.append((trial, arm))
+        groups[name] = pairs
     return groups
 
 
@@ -136,27 +137,16 @@ def _result_payload(result) -> dict:
 def _cmd_bf(args) -> int:
     config = AnalysisConfig(cauchy_scale_r=args.scale, prior_h1=args.prior,
                             sidedness=args.sided)
-    if args.n is not None:
-        if args.n2 is not None:
-            raise UsageError("--n2 requires --n1, not --n")
-        design = TWO_SAMPLE_EQUAL_ARMS if args.design == "two_sample" else ONE_SAMPLE
-        record = StudyRecord(trial="cli", arm="cli", n=args.n,
-                             p_value=args.p, t_value=args.t, design=design)
-        result = analyze_study(record, config)
-    else:
-        if args.n2 is None:
-            raise UsageError("--n1 requires --n2")
-        if args.design == "one_sample":
-            raise UsageError("--n1/--n2 implies a two-sample design")
-        n1, n2 = args.n1, args.n2
-        if n1 < 2 or n2 < 2:
-            raise DomainError("arm sizes must be >= 2")
-        nu = float(n1 + n2 - 2)
-        n_eff = n1 * n2 / (n1 + n2)
-        t = args.t if args.t is not None else t_from_p(args.p, nu, args.sided)
-        result = analyze_summary(
-            TTestSummary(t=t, nu_inversion=nu, nu_bf=nu, n_eff=n_eff), config
-        )
+    if args.n is not None and args.n2 is not None:
+        raise UsageError("--n2 requires --n1, not --n")
+    if args.n1 is not None and args.n2 is None:
+        raise UsageError("--n1 requires --n2")
+    if args.n1 is not None and args.design == "one_sample":
+        raise UsageError("--n1/--n2 implies a two-sample design")
+    design = TWO_SAMPLE_EQUAL_ARMS if args.design == "two_sample" else ONE_SAMPLE
+    record = StudyRecord(trial="cli", arm="cli", n=args.n if args.n1 is None else args.n1,
+                         n2=args.n2, p_value=args.p, t_value=args.t, design=design)
+    result = analyze_study(record, config)
 
     if args.format == "json":
         print(json.dumps(_result_payload(result), indent=2))
@@ -175,23 +165,16 @@ def _cmd_meta(args) -> int:
     if not groups:
         raise UsageError("meta requires at least one --group")
     config = AnalysisConfig(cauchy_scale_r=args.scale, prior_h1=args.prior)
-    payload = []
-    for name, members in groups.items():
-        summaries = []
-        for member in members:
-            trial, sep, arm = member.partition(".")
-            if not sep:
-                raise UsageError(f"group member {member!r} is not 'TRIAL.ARM'")
-            summaries.append(summarize(dataset.find(trial, arm), config))
-        result = meta_bf(MetaInput(studies=tuple(summaries), r=args.scale),
-                         prior_h1=args.prior)
-        payload.append({
-            "group": name,
-            "members": members,
-            "bf10": result.bf10,
-            "bf01": result.bf01,
-            "posterior_h1": result.posterior_h1,
-        })
+    payload = [
+        {
+            "group": m.group,
+            "members": [f"{trial}.{arm}" for trial, arm in m.members],
+            "bf10": m.result.bf10,
+            "bf01": m.result.bf01,
+            "posterior_h1": m.result.posterior_h1,
+        }
+        for m in pool_groups(dataset, groups, config)
+    ]
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:

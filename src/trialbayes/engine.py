@@ -41,7 +41,6 @@ __all__ = [
     "jzs_bf_delta_form",
     "posterior_prob",
     "classify_evidence",
-    "analyze_summary",
     "analyze_study",
 ]
 
@@ -68,7 +67,11 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class StudyRecord:
-    """One trial arm's summary statistics as published."""
+    """One trial arm's summary statistics as published.
+
+    For the two-sample design, n alone means two arms of n each; n2, when
+    given, is the size of the second arm and n the size of the first.
+    """
 
     trial: str
     arm: str
@@ -76,6 +79,7 @@ class StudyRecord:
     p_value: float | None = None
     t_value: float | None = None
     design: str = TWO_SAMPLE_EQUAL_ARMS
+    n2: int | None = None
 
     def __post_init__(self):
         if (self.p_value is None) == (self.t_value is None):
@@ -83,14 +87,20 @@ class StudyRecord:
                 f"study {self.trial}/{self.arm}: exactly one of p_value and "
                 f"t_value must be given"
             )
-        if not (isinstance(self.n, int) and self.n >= 2):
-            raise DomainError(
-                f"study {self.trial}/{self.arm}: n must be an integer >= 2, "
-                f"got {self.n!r}"
-            )
+        for name in ("n",) if self.n2 is None else ("n", "n2"):
+            size = getattr(self, name)
+            if not (isinstance(size, int) and size >= 2):
+                raise DomainError(
+                    f"study {self.trial}/{self.arm}: {name} must be an integer "
+                    f">= 2, got {size!r}"
+                )
         if self.design not in (TWO_SAMPLE_EQUAL_ARMS, ONE_SAMPLE):
             raise DomainError(
                 f"study {self.trial}/{self.arm}: unknown design {self.design!r}"
+            )
+        if self.design == ONE_SAMPLE and self.n2 is not None:
+            raise DomainError(
+                f"study {self.trial}/{self.arm}: n2 needs a two-sample design"
             )
         if self.p_value is not None and not 0.0 < self.p_value < 1.0:
             raise DomainError(
@@ -102,9 +112,9 @@ class StudyRecord:
 class TTestSummary:
     """Derived inferential quantities for one study.
 
-    nu_inversion is the df used for the p -> t inversion (N - 1), nu_bf the
-    df inside the Bayes factor (n1 + n2 - 2), n_eff the effective sample
-    size n1*n2/(n1+n2) that scales the noncentrality.
+    nu_inversion is the df used for the p -> t inversion, nu_bf the df
+    inside the Bayes factor (n1 + n2 - 2), n_eff the effective sample size
+    n1*n2/(n1+n2) that scales the noncentrality; see summarize.
     """
 
     t: float
@@ -176,12 +186,23 @@ def t_from_p(p: float, nu: float, sidedness: str = TWO_SIDED) -> float:
 def summarize(record: StudyRecord, config: AnalysisConfig = AnalysisConfig()) -> TTestSummary:
     """Derive t, degrees of freedom and effective sample size for a record.
 
-    For the two-sample design the published n is read as the size of each
-    arm (n1 = n2 = n), so nu_bf = 2n - 2 and n_eff = n/2, while the p -> t
-    inversion uses nu = n - 1.
+    This is the one place that knows the sample-size conventions:
+
+    - unequal arms (n2 given): nu_inversion = nu_bf = n + n2 - 2 and
+      n_eff = n*n2/(n + n2);
+    - equal arms (the published n is the size of each arm): nu_bf = 2n - 2
+      and n_eff = n/2, but the p -> t inversion uses nu = n - 1;
+    - one sample: nu = n - 1 and n_eff = n.
+
+    The inversion df therefore differs between equal and unequal arms: n =
+    547 alone inverts p with nu = 546, n = n2 = 547 with nu = 1092. The two
+    conventions are not reconciled yet.
     """
-    n = record.n
-    if record.design == TWO_SAMPLE_EQUAL_ARMS:
+    n, n2 = record.n, record.n2
+    if n2 is not None:
+        nu_inversion = nu_bf = float(n + n2 - 2)
+        n_eff = n * n2 / (n + n2)
+    elif record.design == TWO_SAMPLE_EQUAL_ARMS:
         nu_inversion = float(n - 1)
         nu_bf = float(2 * n - 2)
         n_eff = n / 2.0
@@ -284,16 +305,17 @@ def classify_evidence(bf10: float) -> EvidenceLabel:
     return EvidenceLabel(strength="extreme", direction=direction)
 
 
-def analyze_summary(
-    summary: TTestSummary,
+def analyze_study(
+    record: StudyRecord,
     config: AnalysisConfig = AnalysisConfig(),
 ) -> BayesFactorResult:
-    """Bayes factor pipeline for an already-derived t-test summary.
+    """Bayes factor pipeline for a study record.
 
     The delta-form result is primary; the g-form serves as an independent
     cross-check and a relative disagreement above 1e-4 raises
     InternalConsistencyError.
     """
+    summary = summarize(record, config)
     r = config.cauchy_scale_r
     nu, n_eff = summary.nu_bf, summary.n_eff
 
@@ -317,11 +339,3 @@ def analyze_summary(
         label=classify_evidence(bf10),
         summary=summary,
     )
-
-
-def analyze_study(
-    record: StudyRecord,
-    config: AnalysisConfig = AnalysisConfig(),
-) -> BayesFactorResult:
-    """Full pipeline for a study record: summarize then analyze_summary."""
-    return analyze_summary(summarize(record, config), config)

@@ -23,6 +23,7 @@ from .engine import (
     BayesFactorResult,
     StudyRecord,
     analyze_study,
+    summarize,
 )
 from .meta import MetaInput, MetaResult, meta_bf
 from .numerics import DomainError
@@ -34,6 +35,7 @@ __all__ = [
     "parse_dataset",
     "render_dataset",
     "load_bundled_dataset",
+    "pool_groups",
     "run_reanalysis",
     "report_to_dict",
     "render_report",
@@ -177,6 +179,11 @@ def parse_dataset(data: bytes | str, format: str = "csv", name: str = "dataset")
 
 def render_dataset(dataset: Dataset, format: str = "csv") -> bytes:
     """Serialize a dataset; parse_dataset(render_dataset(d)) == d."""
+    for r in dataset.records:
+        if r.n2 is not None:
+            raise DatasetError(
+                f"{r.trial}/{r.arm}: dataset files have no column for n2"
+            )
     if format == "csv":
         buf = _stdio.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -216,10 +223,19 @@ def load_bundled_dataset() -> Dataset:
     return parse_dataset(data, "csv", name="aducanumab")
 
 
-def _normalize_groups(dataset, meta_groups):
-    normalized = {}
-    for group, members in (meta_groups or {}).items():
-        pairs = []
+def pool_groups(
+    dataset: Dataset,
+    meta_groups: dict,
+    config: AnalysisConfig = AnalysisConfig(),
+) -> tuple[MetaGroupResult, ...]:
+    """Pool each group of dataset records into one meta-analytic Bayes factor.
+
+    Members are (trial, arm) pairs or 'trial.arm' strings. Every group is
+    resolved against the dataset before any pooling starts.
+    """
+    resolved = {}
+    for group, members in meta_groups.items():
+        records = []
         for member in members:
             if isinstance(member, str):
                 trial, sep, arm = member.partition(".")
@@ -229,12 +245,18 @@ def _normalize_groups(dataset, meta_groups):
                     )
             else:
                 trial, arm = member
-            dataset.find(trial, arm)  # raises if missing
-            pairs.append((trial, arm))
-        if not pairs:
+            records.append(dataset.find(trial, arm))
+        if not records:
             raise DatasetError(f"meta group {group!r} is empty")
-        normalized[group] = tuple(pairs)
-    return normalized
+        resolved[group] = records
+    results = []
+    for group, records in resolved.items():
+        summaries = tuple(summarize(record, config) for record in records)
+        result = meta_bf(MetaInput(studies=summaries, r=config.cauchy_scale_r),
+                         prior_h1=config.prior_h1)
+        members = tuple((record.trial, record.arm) for record in records)
+        results.append(MetaGroupResult(group=group, members=members, result=result))
+    return tuple(results)
 
 
 def run_reanalysis(
@@ -243,27 +265,18 @@ def run_reanalysis(
     meta_groups: dict | None = None,
 ) -> Report:
     """Analyze every record, then pool each configured meta group."""
-    groups = _normalize_groups(dataset, meta_groups)
     studies = []
-    by_key = {}
     for record in dataset.records:
         try:
             result = analyze_study(record, config)
         except Exception as exc:
             raise type(exc)(f"{record.trial}/{record.arm}: {exc}") from exc
         studies.append(StudyResult(record=record, result=result))
-        by_key[(record.trial, record.arm)] = result
-    meta_results = []
-    for group, members in groups.items():
-        summaries = tuple(by_key[key].summary for key in members)
-        result = meta_bf(MetaInput(studies=summaries, r=config.cauchy_scale_r),
-                         prior_h1=config.prior_h1)
-        meta_results.append(MetaGroupResult(group=group, members=members, result=result))
     return Report(
         dataset_name=dataset.name,
         config=config,
         studies=tuple(studies),
-        meta=tuple(meta_results),
+        meta=pool_groups(dataset, meta_groups or {}, config),
         version=__version__,
     )
 

@@ -23,10 +23,6 @@ from .numerics import (
 
 __all__ = ["MetaInput", "MetaResult", "meta_bf"]
 
-REAL_LINE = "real_line"
-ONE_SIDED_POSITIVE = "one_sided_positive"
-
-
 @dataclass(frozen=True)
 class MetaInput:
     studies: tuple[TTestSummary, ...]
@@ -48,38 +44,23 @@ class MetaResult:
     quadrature_error: float
 
 
-def meta_bf(
-    data: MetaInput,
-    prior_h1: float = 0.5,
-    delta_support: str = REAL_LINE,
-) -> MetaResult:
+def meta_bf(data: MetaInput, prior_h1: float = 0.5) -> MetaResult:
     """Combined Bayes factor across the input studies.
 
-    The shared effect size is integrated over the full real line (two-sided
-    Cauchy prior) by default; delta_support="one_sided_positive" restricts
-    it to delta > 0 with a half-Cauchy prior instead.
+    The shared effect size is integrated over the full real line under a
+    two-sided Cauchy prior.
     """
-    if delta_support not in (REAL_LINE, ONE_SIDED_POSITIVE):
-        raise DomainError(f"unknown delta support {delta_support!r}")
-
     studies = [(s.t, s.nu_bf, math.sqrt(s.n_eff)) for s in data.studies]
     ln_null = sum(central_t_logpdf(t, nu) for t, nu, _ in studies)
     r = data.r
-    # Half-Cauchy doubles the density to stay normalized on delta > 0.
-    ln_fold = math.log(2.0) if delta_support == ONE_SIDED_POSITIVE else 0.0
 
     def integrand(delta: float) -> float:
-        ln = cauchy_logpdf(delta, r) + ln_fold - ln_null
+        ln = cauchy_logpdf(delta, r) - ln_null
         for t, nu, root_n in studies:
             ln += noncentral_t_logpdf(t, nu, delta * root_n)
         return math.exp(ln)
 
-    domain = (
-        Interval.real_line()
-        if delta_support == REAL_LINE
-        else Interval.half_line_positive()
-    )
-    marginal = integrate(integrand, domain, 1e-8)
+    marginal = integrate(integrand, Interval.real_line(), 1e-8)
     bf10 = marginal.value
     return MetaResult(
         bf10=bf10,

@@ -20,15 +20,12 @@ __all__ = [
     "NonConvergenceError",
     "Interval",
     "QuadratureResult",
-    "ln_gamma",
     "reg_inc_beta",
     "student_t_cdf",
     "student_t_quantile",
     "central_t_pdf",
     "central_t_logpdf",
-    "noncentral_t_pdf",
     "noncentral_t_logpdf",
-    "cauchy_pdf",
     "cauchy_logpdf",
     "integrate",
 ]
@@ -84,13 +81,6 @@ class QuadratureResult:
 # Gamma / beta special functions
 # ---------------------------------------------------------------------------
 
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta function (modified Lentz)."""
     tiny = 1e-300
@@ -142,7 +132,7 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     if x == 1.0:
         return 1.0
     ln_front = (
-        ln_gamma(a + b) - ln_gamma(a) - ln_gamma(b)
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
         + a * math.log(x) + b * math.log1p(-x)
     )
     front = math.exp(ln_front)
@@ -171,7 +161,7 @@ def central_t_logpdf(t: float, nu: float) -> float:
     if not nu > 0:
         raise DomainError(f"central_t_pdf requires nu > 0, got {nu}")
     return (
-        ln_gamma(0.5 * (nu + 1.0)) - ln_gamma(0.5 * nu)
+        math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
         - 0.5 * math.log(nu * math.pi)
         - 0.5 * (nu + 1.0) * math.log1p(t * t / nu)
     )
@@ -278,8 +268,9 @@ def _nct_panel_edges(t: float, nu: float, mu: float) -> np.ndarray:
 
 
 def noncentral_t_logpdf(t: float, nu: float, mu: float) -> float:
+    """Log density of the noncentral t distribution with noncentrality mu."""
     if not nu > 0:
-        raise DomainError(f"noncentral_t_pdf requires nu > 0, got {nu}")
+        raise DomainError(f"noncentral_t_logpdf requires nu > 0, got {nu}")
     if mu == 0.0:
         return central_t_logpdf(t, nu)
     edges = _nct_panel_edges(t, nu, mu)
@@ -290,7 +281,7 @@ def noncentral_t_logpdf(t: float, nu: float, mu: float) -> float:
 
     ln_norm = (
         0.5 * math.log(nu) - (0.5 * nu - 1.0) * math.log(2.0)
-        - ln_gamma(0.5 * nu) - 0.5 * LN_2PI
+        - math.lgamma(0.5 * nu) - 0.5 * LN_2PI
     )
     with np.errstate(divide="ignore"):
         ln_q = np.log(q, where=q > 0.0, out=np.full_like(q, -np.inf))
@@ -313,26 +304,14 @@ def noncentral_t_logpdf(t: float, nu: float, mu: float) -> float:
     return peak + math.log(total)
 
 
-def noncentral_t_pdf(t: float, nu: float, mu: float) -> float:
-    """Density of the noncentral t distribution with noncentrality mu."""
-    return math.exp(noncentral_t_logpdf(t, nu, mu))
-
-
 # ---------------------------------------------------------------------------
 # Cauchy density
 # ---------------------------------------------------------------------------
 
-def cauchy_pdf(x: float, scale: float) -> float:
-    """Density of the zero-centered Cauchy distribution."""
-    if not scale > 0:
-        raise DomainError(f"cauchy_pdf requires scale > 0, got {scale}")
-    u = x / scale
-    return 1.0 / (math.pi * scale * (1.0 + u * u))
-
-
 def cauchy_logpdf(x: float, scale: float) -> float:
+    """Log density of the zero-centered Cauchy distribution."""
     if not scale > 0:
-        raise DomainError(f"cauchy_pdf requires scale > 0, got {scale}")
+        raise DomainError(f"cauchy_logpdf requires scale > 0, got {scale}")
     u = x / scale
     return -math.log(math.pi * scale) - math.log1p(u * u)
 

@@ -29,10 +29,10 @@ from trialbayes.io import (
 from trialbayes.meta import MetaInput, meta_bf
 from trialbayes.numerics import (
     Interval,
-    cauchy_pdf,
+    cauchy_logpdf,
     central_t_pdf,
     integrate,
-    noncentral_t_pdf,
+    noncentral_t_logpdf,
     student_t_cdf,
     student_t_quantile,
 )
@@ -142,7 +142,7 @@ def test_criterion_6_laplace_oracle(report):
         t, n0 = s.result.summary.t, s.result.summary.n_eff
         root = math.sqrt(n0)
         phi = math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
-        approx = cauchy_pdf(t / root, R) / (root * phi)
+        approx = math.exp(cauchy_logpdf(t / root, R)) / (root * phi)
         rel = abs(s.result.bf10 - approx) / approx
         if rel > 0.05:
             failures.append(f"{s.record.trial}/{s.record.arm}: off by {rel:.2%}")
@@ -155,7 +155,7 @@ def test_criterion_6_laplace_oracle(report):
         precision = sum(s.n_eff for s in summaries)
         mean = sum(math.sqrt(s.n_eff) * s.t for s in summaries) / precision
         approx = (
-            cauchy_pdf(mean, R)
+            math.exp(cauchy_logpdf(mean, R))
             * math.sqrt(2 * math.pi / precision)
             * math.exp(0.5 * mean * mean * precision)
         )
@@ -174,13 +174,13 @@ def test_criterion_7_numerics_contracts():
                 failures.append(f"roundtrip q={q} nu={nu}: err {err:.2e}")
     for nu in (1.0, 10.0, 1092.0):
         for t in (0.0, 1.18, 2.52):
-            rel = abs(noncentral_t_pdf(t, nu, 0.0) - central_t_pdf(t, nu))
+            rel = abs(math.exp(noncentral_t_logpdf(t, nu, 0.0)) - central_t_pdf(t, nu))
             rel /= central_t_pdf(t, nu)
             if rel > 1e-12:
                 failures.append(f"central reduction t={t} nu={nu}: rel {rel:.2e}")
     integrals = [
         (lambda g: math.exp(-g), Interval.half_line_positive(), 1.0),
-        (lambda x: cauchy_pdf(x, 1.0), Interval.real_line(), 1.0),
+        (lambda x: math.exp(cauchy_logpdf(x, 1.0)), Interval.real_line(), 1.0),
         (
             lambda g: g ** -1.5 * math.exp(-0.5 / g) if g > 0 else 0.0,
             Interval.half_line_positive(),

@@ -1,0 +1,59 @@
+"""The public names other code imports, pinned with their keywords.
+
+The benchmark under perfbench/ imports these names and calls them with
+these keywords (and StudyRecord's first three fields positionally), so a
+rename or a reordering breaks it. The wrappers that once existed only for
+tests must not come back.
+"""
+
+import inspect
+
+import pytest
+
+import trialbayes
+from trialbayes import engine, io, meta, numerics
+
+
+def _parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_engine_names():
+    assert _parameters(engine.StudyRecord)[:6] == [
+        "trial", "arm", "n", "p_value", "t_value", "design",
+    ]
+    assert engine.TWO_SAMPLE_EQUAL_ARMS != engine.ONE_SAMPLE
+    assert _parameters(engine.AnalysisConfig) == [
+        "cauchy_scale_r", "prior_h1", "sidedness", "rel_tol",
+    ]
+    for fn in (trialbayes.analyze_study, trialbayes.summarize):
+        assert _parameters(fn) == ["record", "config"]
+    assert _parameters(trialbayes.classify_evidence) == ["bf10"]
+    for fn in (engine.jzs_bf_delta_form, engine.jzs_bf_g_form):
+        assert _parameters(fn)[:2] == ["t", "summary"]
+
+
+def test_summary_fields():
+    record = engine.StudyRecord("x", "y", 10, p_value=0.05, t_value=None,
+                                design=engine.TWO_SAMPLE_EQUAL_ARMS)
+    s = trialbayes.summarize(record)
+    assert (s.nu_bf, s.n_eff) == (18.0, 5.0)
+    assert s.t > 0.0
+
+
+def test_meta_and_io_names():
+    assert _parameters(meta.MetaInput)[0] == "studies"
+    assert _parameters(meta.meta_bf) == ["data", "prior_h1"]
+    assert set(io.ADUCANUMAB_META_GROUPS) == {"low", "high"}
+    assert _parameters(io.run_reanalysis) == ["dataset", "config", "meta_groups"]
+    assert _parameters(io.render_report) == ["report", "format"]
+    assert _parameters(io.emit_charts) == ["report"]
+    assert _parameters(io.load_bundled_dataset) == []
+
+
+@pytest.mark.parametrize(
+    "name", ["ln_gamma", "cauchy_pdf", "noncentral_t_pdf", "analyze_summary"]
+)
+def test_test_only_wrappers_are_gone(name):
+    for module in (trialbayes, engine, meta, numerics):
+        assert not hasattr(module, name)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from trialbayes import cli
-from trialbayes.engine import StudyRecord, analyze_study
+from trialbayes.engine import StudyRecord, analyze_study, t_from_p
 from trialbayes.io import load_bundled_dataset, render_dataset
 from trialbayes.numerics import NonConvergenceError
 
@@ -43,6 +43,30 @@ class TestBf:
         assert cli.main(["bf", "--n1", "500", "--n2", "600", "--p", "0.012"]) == 0
         out = capsys.readouterr().out
         assert "nu = 1098" in out
+
+    def test_unequal_arms_json_matches_library(self, capsys):
+        argv = ["bf", "--n1", "500", "--n2", "600", "--p", "0.012", "--format", "json"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        direct = analyze_study(
+            StudyRecord(trial="cli", arm="cli", n=500, n2=600, p_value=0.012)
+        )
+        assert payload == {
+            "t": direct.summary.t,
+            "nu": direct.summary.nu_bf,
+            "n_eff": direct.summary.n_eff,
+            "bf10": direct.bf10,
+            "bf01": direct.bf01,
+            "posterior_h1": direct.posterior_h1,
+            "label": str(direct.label),
+        }
+        assert payload["t"] == t_from_p(0.012, 1098.0)
+
+    def test_equal_sizes_through_n1_n2_invert_with_pooled_df(self, capsys):
+        assert cli.main(["bf", "--n1", "547", "--n2", "547", "--p", "0.012"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("t = 2.5164  (nu = 1092, N_eff = 273.5)\n")
+        assert "BF10 = 1.53" in out
 
     def test_unequal_arms_near_equal_agrees(self, capsys):
         # with t given directly the two entry points share the whole pipeline
@@ -111,6 +135,28 @@ class TestMeta:
         assert cli.main(["meta", "--input", dataset_csv,
                          "--group", "x=EMERGE-high"]) == 1
 
+    def test_members_printed_as_trial_dot_arm(self, capsys, dataset_csv):
+        argv = ["meta", "--input", dataset_csv, "--format", "json",
+                "--group", "high= EMERGE.high ,ENGAGE.high,"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload[0]["members"] == ["EMERGE.high", "ENGAGE.high"]
+
+    def test_same_pooled_values_as_report(self, capsys, dataset_csv, tmp_path):
+        groups = ["--group", "low=EMERGE.low,ENGAGE.low",
+                  "--group", "high=EMERGE.high,ENGAGE.high"]
+        assert cli.main(["meta", "--input", dataset_csv, "--format", "json",
+                         *groups]) == 0
+        pooled = json.loads(capsys.readouterr().out)
+        out = tmp_path / "report.json"
+        assert cli.main(["report", "--input", dataset_csv, "--out", str(out),
+                         *groups]) == 0
+        report = json.loads(out.read_bytes())["meta"]
+        assert [(g["group"], g["members"], g["bf10"], g["posterior_h1"])
+                for g in pooled] == [
+            (g["group"], g["members"], g["bf10"], g["posterior_h1"]) for g in report
+        ]
+
     def test_missing_member(self, dataset_csv):
         assert cli.main(["meta", "--input", dataset_csv,
                          "--group", "x=EMERGE.mid"]) == 2
@@ -157,6 +203,10 @@ class TestReport:
     def test_table_only(self, capsys):
         assert cli.main(["report"]) == 0
         assert "BF10" in capsys.readouterr().out
+
+    def test_bad_group_member_is_usage_error(self, capsys):
+        assert cli.main(["report", "--group", "x=EMERGE-high"]) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_unwritable_out(self, tmp_path, capsys):
         target = str(tmp_path / "no" / "such" / "dir" / "r.json")

@@ -15,7 +15,6 @@ from trialbayes.engine import (
     StudyRecord,
     TTestSummary,
     analyze_study,
-    analyze_summary,
     classify_evidence,
     jzs_bf_delta_form,
     jzs_bf_g_form,
@@ -23,7 +22,7 @@ from trialbayes.engine import (
     summarize,
     t_from_p,
 )
-from trialbayes.numerics import DomainError, cauchy_pdf, student_t_cdf
+from trialbayes.numerics import DomainError, cauchy_logpdf, student_t_cdf
 
 
 def _summary(t, n):
@@ -91,6 +90,22 @@ class TestSummarize:
         record = StudyRecord(trial="x", arm="y", n=100, t_value=-1.5)
         assert summarize(record).t == -1.5
 
+    def test_unequal_arms(self):
+        record = StudyRecord(trial="x", arm="y", n=500, n2=600, p_value=0.012)
+        s = summarize(record)
+        assert s.nu_inversion == s.nu_bf == 1098.0
+        assert s.n_eff == 500 * 600 / 1100
+        assert s.t == t_from_p(0.012, 1098.0)
+
+    def test_inversion_df_differs_for_equal_and_unequal_arms(self):
+        equal = summarize(StudyRecord(trial="x", arm="y", n=547, p_value=0.012))
+        split = summarize(
+            StudyRecord(trial="x", arm="y", n=547, n2=547, p_value=0.012)
+        )
+        assert (equal.nu_bf, equal.n_eff) == (split.nu_bf, split.n_eff)
+        assert (equal.nu_inversion, split.nu_inversion) == (546.0, 1092.0)
+        assert round(split.t, 4) == 2.5164 and round(equal.t, 4) == 2.5206
+
 
 class TestStudyRecordValidation:
     def test_requires_exactly_one_statistic(self):
@@ -102,6 +117,16 @@ class TestStudyRecordValidation:
     def test_bad_n(self):
         with pytest.raises(DomainError):
             StudyRecord(trial="x", arm="y", n=1, p_value=0.05)
+
+    def test_bad_n2(self):
+        for n2 in (1, 0, -5, 2.5):
+            with pytest.raises(DomainError, match="n2"):
+                StudyRecord(trial="x", arm="y", n=10, n2=n2, p_value=0.05)
+
+    def test_n2_needs_two_samples(self):
+        with pytest.raises(DomainError, match="two-sample"):
+            StudyRecord(trial="x", arm="y", n=10, n2=12, p_value=0.05,
+                        design=ONE_SAMPLE)
 
     def test_bad_p(self):
         with pytest.raises(DomainError):
@@ -168,7 +193,7 @@ class TestJzsBayesFactor:
             s = _summary(t, n)
             root_n = math.sqrt(s.n_eff)
             phi = math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
-            approx = cauchy_pdf(t / root_n, r) / (root_n * phi)
+            approx = math.exp(cauchy_logpdf(t / root_n, r)) / (root_n * phi)
             assert jzs_bf_delta_form(t, s) == pytest.approx(approx, rel=0.05)
 
     def test_scale_dependence(self):
@@ -274,14 +299,15 @@ class TestAnalyze:
         assert result.label.direction == "favors_h0"
 
     def test_prior_flows_through(self):
-        s = _summary(2.52, 547)
-        sceptical = analyze_summary(s, AnalysisConfig(prior_h1=0.1))
-        even = analyze_summary(s, AnalysisConfig(prior_h1=0.5))
+        record = StudyRecord(trial="x", arm="y", n=547, t_value=2.52)
+        sceptical = analyze_study(record, AnalysisConfig(prior_h1=0.1))
+        even = analyze_study(record, AnalysisConfig(prior_h1=0.5))
         assert sceptical.bf10 == pytest.approx(even.bf10, rel=1e-12)
         assert sceptical.posterior_h1 < even.posterior_h1
 
     def test_quadrature_error_is_small(self):
-        result = analyze_summary(_summary(2.52, 547), AnalysisConfig())
+        record = StudyRecord(trial="x", arm="y", n=547, t_value=2.52)
+        result = analyze_study(record, AnalysisConfig())
         assert 0.0 <= result.quadrature_error < 1e-6 * result.bf10
 
     def test_deterministic(self):

@@ -6,9 +6,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from trialbayes.engine import AnalysisConfig, analyze_study
+from trialbayes.engine import AnalysisConfig, StudyRecord, analyze_study
 from trialbayes.io import (
     ADUCANUMAB_META_GROUPS,
+    Dataset,
     DatasetError,
     emit_charts,
     load_bundled_dataset,
@@ -95,6 +96,15 @@ class TestParseDataset:
         ds = load_bundled_dataset()
         again = parse_dataset(render_dataset(ds, "csv"), "csv", name=ds.name)
         assert again == ds
+
+    def test_render_rejects_unequal_arms(self):
+        # the file formats have no n2 column; dropping it would change the data
+        ds = Dataset(name="x", records=(
+            StudyRecord(trial="A", arm="b", n=500, n2=600, p_value=0.012),
+        ))
+        for fmt in ("csv", "json"):
+            with pytest.raises(DatasetError, match="n2"):
+                render_dataset(ds, fmt)
 
     def test_json_errors(self):
         with pytest.raises(DatasetError, match="invalid JSON"):

@@ -13,12 +13,11 @@ from trialbayes.numerics import (
     DomainError,
     Interval,
     NonConvergenceError,
-    cauchy_pdf,
+    cauchy_logpdf,
+    central_t_logpdf,
     central_t_pdf,
     integrate,
-    ln_gamma,
     noncentral_t_logpdf,
-    noncentral_t_pdf,
     reg_inc_beta,
     student_t_cdf,
     student_t_quantile,
@@ -26,23 +25,34 @@ from trialbayes.numerics import (
 
 
 class TestLnGamma:
+    """The log-gamma normalization of the t density, via central_t_logpdf."""
+
     def test_trivial_values(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
+        # nu = 1 is the standard Cauchy: Gamma(1) / Gamma(1/2) = 1 / sqrt(pi)
+        for t in [0.0, 1.3, -4.0]:
+            assert central_t_logpdf(t, 1.0) == pytest.approx(
+                cauchy_logpdf(t, 1.0), rel=1e-14
+            )
 
     def test_half_integer(self):
-        # Gamma(1/2) = sqrt(pi)
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
+        # nu = 2: Gamma(3/2) / Gamma(1) = sqrt(pi) / 2, density (2 + t^2)^(-3/2)
+        for t in [0.0, 0.7, 3.0]:
+            assert central_t_logpdf(t, 2.0) == pytest.approx(
+                -1.5 * math.log(2.0 + t * t), rel=1e-14
+            )
 
     def test_against_scipy_grid(self):
-        for x in [0.5, 0.73, 1.0, 2.5, 10.0, 123.4, 1000.0, 5000.0]:
-            assert ln_gamma(x) == pytest.approx(scipy.special.gammaln(x), rel=1e-12)
+        for nu in [0.5, 0.73, 1.0, 2.5, 10.0, 123.4, 1000.0, 5000.0]:
+            for t in [-3.0, 0.0, 0.5, 2.52]:
+                assert central_t_logpdf(t, nu) == pytest.approx(
+                    scipy.stats.t.logpdf(t, nu), rel=1e-12
+                )
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            ln_gamma(0.0)
+            central_t_logpdf(1.0, 0.0)
         with pytest.raises(DomainError):
-            ln_gamma(-3.0)
+            central_t_logpdf(1.0, -3.0)
 
 
 class TestRegIncBeta:
@@ -159,26 +169,28 @@ class TestNoncentralTPdf:
     def test_central_reduction(self):
         for nu in [1.0, 2.5, 20.0, 546.0, 1092.0]:
             for t in [-3.0, 0.0, 0.5, 2.52]:
-                assert noncentral_t_pdf(t, nu, 0.0) == pytest.approx(
+                assert math.exp(noncentral_t_logpdf(t, nu, 0.0)) == pytest.approx(
                     central_t_pdf(t, nu), rel=1e-12
                 )
 
     def test_shifted_normal_limit(self):
         # For huge nu the density tends to phi(t - mu)
-        assert noncentral_t_pdf(2.0, 1e5, 2.0) == pytest.approx(
+        assert math.exp(noncentral_t_logpdf(2.0, 1e5, 2.0)) == pytest.approx(
             1.0 / math.sqrt(2 * math.pi), abs=1e-3
         )
 
     def test_reflection_symmetry(self):
         for t, nu, mu in [(1.3, 7.0, 0.8), (-2.0, 100.0, 3.0), (0.4, 1.0, -1.1)]:
-            assert noncentral_t_pdf(t, nu, mu) == pytest.approx(
-                noncentral_t_pdf(-t, nu, -mu), rel=1e-12
+            assert math.exp(noncentral_t_logpdf(t, nu, mu)) == pytest.approx(
+                math.exp(noncentral_t_logpdf(-t, nu, -mu)), rel=1e-12
             )
 
     def test_normalizes(self):
         for nu, mu in [(5.0, 1.5), (50.0, -2.0)]:
             result = integrate(
-                lambda t: noncentral_t_pdf(t, nu, mu), Interval.real_line(), 1e-9
+                lambda t: math.exp(noncentral_t_logpdf(t, nu, mu)),
+                Interval.real_line(),
+                1e-9,
             )
             assert result.value == pytest.approx(1.0, abs=1e-6)
 
@@ -195,7 +207,8 @@ class TestNoncentralTPdf:
                         continue  # scipy's boost backend fails here; skip
                     if not (math.isfinite(ref) and ref > 0):
                         continue
-                    assert noncentral_t_pdf(t, nu, mu) == pytest.approx(ref, rel=1e-9)
+                    got = math.exp(noncentral_t_logpdf(t, nu, mu))
+                    assert got == pytest.approx(ref, rel=1e-9)
                     checked += 1
         assert checked >= 80
 
@@ -208,24 +221,28 @@ class TestNoncentralTPdf:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            noncentral_t_pdf(1.0, 0.0, 1.0)
+            noncentral_t_logpdf(1.0, 0.0, 1.0)
 
 
 class TestCauchyPdf:
     def test_trivial_values(self):
-        assert cauchy_pdf(0.0, 1.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
-        assert cauchy_pdf(1.0, 1.0) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
+        assert math.exp(cauchy_logpdf(0.0, 1.0)) == pytest.approx(
+            1.0 / math.pi, rel=1e-14
+        )
+        assert math.exp(cauchy_logpdf(1.0, 1.0)) == pytest.approx(
+            1.0 / (2 * math.pi), rel=1e-14
+        )
 
     def test_direct_formula(self):
         scale = math.sqrt(2) / 2
         x = 0.1078
         expected = 1.0 / (math.pi * scale * (1 + (x / scale) ** 2))
         assert expected == pytest.approx(0.4400, abs=5e-4)
-        assert cauchy_pdf(x, scale) == pytest.approx(expected, rel=1e-14)
+        assert math.exp(cauchy_logpdf(x, scale)) == pytest.approx(expected, rel=1e-14)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            cauchy_pdf(0.0, 0.0)
+            cauchy_logpdf(0.0, 0.0)
 
 
 def _riemann_oracle(f, n_steps=200_000):
@@ -242,7 +259,9 @@ class TestIntegrate:
         assert result.evaluations >= 1
 
     def test_cauchy_normalization_real_line(self):
-        result = integrate(lambda x: cauchy_pdf(x, 1.0), Interval.real_line(), 1e-10)
+        result = integrate(
+            lambda x: math.exp(cauchy_logpdf(x, 1.0)), Interval.real_line(), 1e-10
+        )
         assert result.value == pytest.approx(1.0, rel=1e-9)
 
     def test_inverse_gamma_normalization(self):
@@ -256,7 +275,7 @@ class TestIntegrate:
             lambda u: math.exp(-u / (1 - u)) / (1 - u) ** 2
         )
         cauchy_oracle = _riemann_oracle(
-            lambda u: cauchy_pdf(math.tan(math.pi * (u - 0.5)), 1.0)
+            lambda u: math.exp(cauchy_logpdf(math.tan(math.pi * (u - 0.5)), 1.0))
             * math.pi / math.cos(math.pi * (u - 0.5)) ** 2
         )
         # g = (u/(1-u))**2 removes the endpoint singularity of this one
@@ -267,7 +286,11 @@ class TestIntegrate:
         )
         cases = [
             (lambda g: math.exp(-g), Interval.half_line_positive(), exp_oracle),
-            (lambda x: cauchy_pdf(x, 1.0), Interval.real_line(), cauchy_oracle),
+            (
+                lambda x: math.exp(cauchy_logpdf(x, 1.0)),
+                Interval.real_line(),
+                cauchy_oracle,
+            ),
             (
                 lambda g: g ** -1.5 * math.exp(-0.5 / g) if g > 0 else 0.0,
                 Interval.half_line_positive(),
@@ -305,7 +328,7 @@ class TestDeterminism:
     def test_bit_identical_outputs(self):
         pairs = [
             (student_t_quantile(0.994, 546.0), student_t_quantile(0.994, 546.0)),
-            (noncentral_t_pdf(2.52, 1092.0, 2.5), noncentral_t_pdf(2.52, 1092.0, 2.5)),
+            (noncentral_t_logpdf(2.52, 1092.0, 2.5), noncentral_t_logpdf(2.52, 1092.0, 2.5)),
             (
                 integrate(lambda g: math.exp(-g), Interval.half_line_positive(), 1e-9).value,
                 integrate(lambda g: math.exp(-g), Interval.half_line_positive(), 1e-9).value,
