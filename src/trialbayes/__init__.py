@@ -36,7 +36,6 @@ from .io import (  # noqa: E402
 from .meta import MetaInput, MetaResult, meta_bf  # noqa: E402
 from .numerics import (  # noqa: E402
     DomainError,
-    Interval,
     NonConvergenceError,
     QuadratureResult,
     central_t_pdf,

@@ -10,14 +10,14 @@ routes are cross-checked against each other on every analysis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .numerics import (
     LN_2PI,
     DomainError,
-    Interval,
     cauchy_logpdf,
-    central_t_pdf,
+    central_t_logpdf,
     integrate,
     noncentral_t_logpdf,
     student_t_quantile,
@@ -51,6 +51,8 @@ ONE_SIDED = "one_sided"
 
 DEFAULT_CAUCHY_SCALE = math.sqrt(2.0) / 2.0
 
+_LN_MAX_DOUBLE = math.log(sys.float_info.max)  # ln BF beyond +-this has no float
+
 # Jeffreys bins on B = max(BF10, 1/BF10); half-open [lower, upper).
 JEFFREYS_BINS = (
     (1.0, 3.0, "anecdotal"),
@@ -62,7 +64,8 @@ JEFFREYS_BINS = (
 
 
 class InternalConsistencyError(RuntimeError):
-    """The two Bayes factor computations disagree beyond tolerance."""
+    """The two Bayes factor computations disagree beyond tolerance, or the
+    Bayes factor they agree on does not fit in a double."""
 
 
 @dataclass(frozen=True)
@@ -216,52 +219,47 @@ def summarize(record: StudyRecord, config: AnalysisConfig = AnalysisConfig()) ->
     return TTestSummary(t=t, nu_inversion=nu_inversion, nu_bf=nu_bf, n_eff=n_eff)
 
 
-def _jzs_g_integral(t: float, nu: float, n_eff: float, r: float, rel_tol: float):
-    """Denominator of the g-form B01: marginal of the data under H1."""
-    ln_r = math.log(r)
-    half_r2 = 0.5 * r * r
-    c = -0.5 * LN_2PI
-
-    def integrand(g: float) -> float:
-        if g <= 0.0:
-            return 0.0
-        shrink = 1.0 + n_eff * g
-        ln = (
-            -0.5 * math.log(shrink)
-            - 0.5 * (nu + 1.0) * math.log1p(t * t / (shrink * nu))
-            + c + ln_r
-            - 1.5 * math.log(g)
-            - half_r2 / g
-        )
-        return math.exp(ln)
-
-    return integrate(integrand, Interval.half_line_positive(), rel_tol)
-
-
 def jzs_bf_g_form(
     t: float,
     summary: TTestSummary,
     r: float = DEFAULT_CAUCHY_SCALE,
     rel_tol: float = 1e-8,
 ) -> float:
-    """B01 via the JZS integral over the prior mixing variance g."""
+    """B01 via the JZS integral over the prior mixing variance g, in x = ln g."""
     if not r > 0:
         raise DomainError(f"prior scale r must be > 0, got {r}")
     nu, n_eff = summary.nu_bf, summary.n_eff
+    c = math.log(r) - 0.5 * LN_2PI
+    half_r2 = 0.5 * r * r
+
+    def log_f(xs):
+        shrinks = [1.0 + n_eff * math.exp(x) for x in xs]
+        return [
+            -0.5 * math.log(s) - 0.5 * (nu + 1.0) * math.log1p(t * t / (s * nu))
+            + c - 0.5 * x - half_r2 * math.exp(-x)
+            for x, s in zip(xs, shrinks)
+        ]
+
+    # Near its peak the integrand is about exp(-x - (r^2 + t^2/n_eff) e^-x / 2),
+    # which peaks at that e^x and has unit width; above it, it falls like
+    # e^-x, and integrate widens the window on that side.
+    marginal = integrate(log_f, math.log(0.5 * (r * r + t * t / n_eff)), 0.5, rel_tol)
     ln_null = -0.5 * (nu + 1.0) * math.log1p(t * t / nu)
-    marginal = _jzs_g_integral(t, nu, n_eff, r, rel_tol)
-    return math.exp(ln_null) / marginal.value
+    return _bf_from_ln(ln_null - marginal.ln_value)
 
 
-def _jzs_delta_integral(t: float, nu: float, n_eff: float, r: float, rel_tol: float):
-    """Marginal density of t under H1: noncentral t mixed over Cauchy delta."""
+def _jzs_delta_form(t: float, summary: TTestSummary, r: float, rel_tol: float):
+    """ln BF10 and its quadrature: the marginal density of t under H1 (the
+    noncentral t mixed over a Cauchy delta) over the central t density."""
+    nu, n_eff = summary.nu_bf, summary.n_eff
     root_n = math.sqrt(n_eff)
 
-    def integrand(delta: float) -> float:
-        ln = noncentral_t_logpdf(t, nu, delta * root_n) + cauchy_logpdf(delta, r)
-        return math.exp(ln)
+    def log_f(deltas):
+        return [noncentral_t_logpdf(t, nu, d * root_n) + cauchy_logpdf(d, r) for d in deltas]
 
-    return integrate(integrand, Interval.real_line(), rel_tol)
+    scale = math.sqrt((1.0 + t * t / (2.0 * nu)) / n_eff)
+    marginal = integrate(log_f, t / root_n, scale, rel_tol)
+    return marginal.ln_value - central_t_logpdf(t, nu), marginal
 
 
 def jzs_bf_delta_form(
@@ -273,9 +271,16 @@ def jzs_bf_delta_form(
     """BF10 via the marginal-likelihood integral over the effect size delta."""
     if not r > 0:
         raise DomainError(f"prior scale r must be > 0, got {r}")
-    nu, n_eff = summary.nu_bf, summary.n_eff
-    marginal = _jzs_delta_integral(t, nu, n_eff, r, rel_tol)
-    return marginal.value / central_t_pdf(t, nu)
+    return _bf_from_ln(_jzs_delta_form(t, summary, r, rel_tol)[0])
+
+
+def _bf_from_ln(ln_bf: float) -> float:
+    """A Bayes factor from its ln; one that a double cannot hold is an error."""
+    if not abs(ln_bf) < _LN_MAX_DOUBLE:
+        raise InternalConsistencyError(
+            f"Bayes factor exp({ln_bf!r}) does not fit in a double"
+        )
+    return math.exp(ln_bf)
 
 
 def posterior_prob(bf10: float, prior_h1: float) -> float:
@@ -317,11 +322,8 @@ def analyze_study(
     """
     summary = summarize(record, config)
     r = config.cauchy_scale_r
-    nu, n_eff = summary.nu_bf, summary.n_eff
-
-    marginal = _jzs_delta_integral(summary.t, nu, n_eff, r, config.rel_tol)
-    null_density = central_t_pdf(summary.t, nu)
-    bf10 = marginal.value / null_density
+    ln_bf10, marginal = _jzs_delta_form(summary.t, summary, r, config.rel_tol)
+    bf10 = _bf_from_ln(ln_bf10)
 
     bf01_check = jzs_bf_g_form(summary.t, summary, r, config.rel_tol)
     if abs(bf10 * bf01_check - 1.0) > 1e-4:
@@ -333,8 +335,8 @@ def analyze_study(
     return BayesFactorResult(
         bf10=bf10,
         bf01=1.0 / bf10,
-        ln_bf10=math.log(bf10),
-        quadrature_error=marginal.abs_error_estimate / null_density,
+        ln_bf10=ln_bf10,
+        quadrature_error=bf10 * marginal.abs_error_estimate,
         posterior_h1=posterior_prob(bf10, config.prior_h1),
         label=classify_evidence(bf10),
         summary=summary,

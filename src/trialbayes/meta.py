@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import DEFAULT_CAUCHY_SCALE, TTestSummary, posterior_prob
+from .engine import DEFAULT_CAUCHY_SCALE, TTestSummary, _bf_from_ln, posterior_prob
 from .numerics import (
     DomainError,
-    Interval,
     cauchy_logpdf,
     central_t_logpdf,
     integrate,
@@ -54,17 +53,24 @@ def meta_bf(data: MetaInput, prior_h1: float = 0.5) -> MetaResult:
     ln_null = sum(central_t_logpdf(t, nu) for t, nu, _ in studies)
     r = data.r
 
-    def integrand(delta: float) -> float:
-        ln = cauchy_logpdf(delta, r) - ln_null
-        for t, nu, root_n in studies:
-            ln += noncentral_t_logpdf(t, nu, delta * root_n)
-        return math.exp(ln)
+    def log_f(deltas):
+        return [
+            cauchy_logpdf(d, r)
+            + sum(noncentral_t_logpdf(t, nu, d * root_n) for t, nu, root_n in studies)
+            for d in deltas
+        ]
 
-    marginal = integrate(integrand, Interval.real_line(), 1e-8)
-    bf10 = marginal.value
+    # Laplace guess: study i alone puts delta near t / sqrt(n_eff) with
+    # precision n_eff / (1 + t^2 / (2 nu)); pool those as normal likelihoods.
+    weights = [(root_n * root_n / (1.0 + t * t / (2.0 * nu)), t / root_n)
+               for t, nu, root_n in studies]
+    precision = sum(w for w, _ in weights)
+    centre = sum(w * delta for w, delta in weights) / precision
+    marginal = integrate(log_f, centre, 1.0 / math.sqrt(precision), 1e-8)
+    bf10 = _bf_from_ln(marginal.ln_value - ln_null)
     return MetaResult(
         bf10=bf10,
         bf01=1.0 / bf10,
         posterior_h1=posterior_prob(bf10, prior_h1),
-        quadrature_error=marginal.abs_error_estimate,
+        quadrature_error=bf10 * marginal.abs_error_estimate,
     )

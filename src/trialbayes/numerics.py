@@ -1,24 +1,21 @@
-"""Numerical kernel: special functions and adaptive quadrature.
+"""Numerical kernel: special functions and log-space quadrature.
 
 Everything downstream (t statistics, Bayes factors, meta-analysis) is built
 on the functions in this module. All routines are pure, deterministic and
-implemented with double precision scalars plus fixed Gauss-Legendre node
-tables, so identical inputs always give bit-identical outputs.
+implemented with double precision scalars plus one fixed Gauss-Legendre
+node table, so identical inputs always give bit-identical outputs.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "DomainError",
     "NonConvergenceError",
-    "Interval",
     "QuadratureResult",
     "reg_inc_beta",
     "student_t_cdf",
@@ -38,41 +35,15 @@ class DomainError(ValueError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Adaptive refinement exhausted its evaluation budget."""
-
-
-class IntervalKind(Enum):
-    FINITE = "finite"
-    HALF_LINE_POSITIVE = "half_line_positive"
-    REAL_LINE = "real_line"
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Integration domain: a finite segment, (0, inf), or the whole line."""
-
-    kind: IntervalKind
-    a: float = 0.0
-    b: float = 0.0
-
-    @classmethod
-    def finite(cls, a: float, b: float) -> "Interval":
-        if not a < b:
-            raise DomainError(f"finite interval requires a < b, got [{a}, {b}]")
-        return cls(IntervalKind.FINITE, float(a), float(b))
-
-    @classmethod
-    def half_line_positive(cls) -> "Interval":
-        return cls(IntervalKind.HALF_LINE_POSITIVE)
-
-    @classmethod
-    def real_line(cls) -> "Interval":
-        return cls(IntervalKind.REAL_LINE)
+    """A quadrature or iteration exhausted its evaluation budget."""
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
+    """ln of an integral, the estimated absolute error of that ln (which is
+    the relative error of the integral) and the integrand evaluations spent."""
+
+    ln_value: float
     abs_error_estimate: float
     evaluations: int
 
@@ -219,6 +190,31 @@ def student_t_quantile(q: float, nu: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Composite Gauss-Legendre rule in log space
+# ---------------------------------------------------------------------------
+
+# One 20-node rule serves the noncentral t density and integrate().
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Abscissae and weights of the rule on each panel between the edges."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return x, w
+
+
+def _log_sum(log_f: np.ndarray, w: np.ndarray) -> float:
+    """ln sum_i w_i exp(log_f_i), with the largest term factored out."""
+    peak = float(np.max(log_f))
+    if peak == -math.inf:
+        return peak
+    return peak + math.log(float(np.dot(w, np.exp(log_f - peak))))
+
+
+# ---------------------------------------------------------------------------
 # Noncentral t density
 # ---------------------------------------------------------------------------
 
@@ -229,7 +225,6 @@ def student_t_quantile(q: float, nu: float) -> float:
 # of L. All arithmetic stays in log space so extreme noncentralities only
 # underflow the final exp, never the intermediate sums.
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 _NCT_PANELS = 10
 _NCT_HALF_WIDTH = 18.0  # integration window half-width in peak sigmas
 
@@ -273,18 +268,13 @@ def noncentral_t_logpdf(t: float, nu: float, mu: float) -> float:
         raise DomainError(f"noncentral_t_logpdf requires nu > 0, got {nu}")
     if mu == 0.0:
         return central_t_logpdf(t, nu)
-    edges = _nct_panel_edges(t, nu, mu)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    q = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    q, w = _panel_nodes(_nct_panel_edges(t, nu, mu))
 
     ln_norm = (
         0.5 * math.log(nu) - (0.5 * nu - 1.0) * math.log(2.0)
         - math.lgamma(0.5 * nu) - 0.5 * LN_2PI
     )
-    with np.errstate(divide="ignore"):
-        ln_q = np.log(q, where=q > 0.0, out=np.full_like(q, -np.inf))
+    ln_q = np.log(q)  # Gauss-Legendre nodes are interior, so q > 0
     z = t * q - mu
     # ln[ q * f_Q(q) * phi(t q - mu) ] with f_Q the density of chi_nu/sqrt(nu);
     # the leading q is the Jacobian of t -> z = t q - mu.
@@ -295,13 +285,7 @@ def noncentral_t_logpdf(t: float, nu: float, mu: float) -> float:
         - 0.5 * nu * q * q
         - 0.5 * z * z
     )
-    peak = float(np.max(log_f))
-    if peak == -math.inf:
-        return -math.inf
-    total = float(np.dot(w, np.exp(log_f - peak)))
-    if total <= 0.0:
-        return -math.inf
-    return peak + math.log(total)
+    return _log_sum(log_f, w)
 
 
 # ---------------------------------------------------------------------------
@@ -317,134 +301,62 @@ def cauchy_logpdf(x: float, scale: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Kronrod quadrature
+# Quadrature over the real line
 # ---------------------------------------------------------------------------
 
-# 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1]).
-_GK_NODES = (
-    0.991455371120813, -0.991455371120813,
-    0.949107912342759, -0.949107912342759,
-    0.864864423359769, -0.864864423359769,
-    0.741531185599394, -0.741531185599394,
-    0.586087235467691, -0.586087235467691,
-    0.405845151377397, -0.405845151377397,
-    0.207784955007898, -0.207784955007898,
-    0.0,
-)
-_GK_WEIGHTS_K = (
-    0.022935322010529, 0.022935322010529,
-    0.063092092629979, 0.063092092629979,
-    0.104790010322250, 0.104790010322250,
-    0.140653259715525, 0.140653259715525,
-    0.169004726639267, 0.169004726639267,
-    0.190350578064785, 0.190350578064785,
-    0.204432940075298, 0.204432940075298,
-    0.209482141084728,
-)
-_GK_WEIGHTS_G = (
-    0.0, 0.0,
-    0.129484966168870, 0.129484966168870,
-    0.0, 0.0,
-    0.279705391489277, 0.279705391489277,
-    0.0, 0.0,
-    0.381830050505119, 0.381830050505119,
-    0.0, 0.0,
-    0.417959183673469,
-)
-
-_INITIAL_PANELS = 8
+_LN_DROP = 36.0  # the window ends lie this far below the peak (e^-36 ~ 2e-16)
+_MAX_EVALUATIONS = 200_000
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    g7 = 0.0
-    k15 = 0.0
-    for xi, wk, wg in zip(_GK_NODES, _GK_WEIGHTS_K, _GK_WEIGHTS_G):
-        fx = f(mid + half * xi)
-        k15 += wk * fx
-        g7 += wg * fx
-    diff = abs(k15 - g7) * half
-    err = min(diff, (200.0 * diff) ** 1.5) if diff > 0.0 else 0.0
-    return k15 * half, err
+def integrate(log_f, centre: float, scale: float, rel_tol: float = 1e-8) -> QuadratureResult:
+    """ln of the integral of exp(log_f(x)) over the real line.
 
-
-def _to_unit_interval(f, domain: Interval):
-    """Map an improper domain onto (0, 1), folding in the Jacobian."""
-    if domain.kind is IntervalKind.FINITE:
-        return f, domain.a, domain.b
-    if domain.kind is IntervalKind.HALF_LINE_POSITIVE:
-        # g = u / (1 - u), dg = du / (1 - u)^2
-        def wrapped(u: float) -> float:
-            s = 1.0 - u
-            if s <= 0.0:  # node rounded onto the endpoint
-                return 0.0
-            fx = f(u / s)
-            return 0.0 if fx == 0.0 else fx / (s * s)
-
-        return wrapped, 0.0, 1.0
-    # delta = tan(pi (u - 1/2)), d(delta) = pi sec^2(pi (u - 1/2)) du
-    def wrapped(u: float) -> float:
-        theta = math.pi * (u - 0.5)
-        c = math.cos(theta)
-        if c == 0.0:  # node rounded onto the endpoint
-            return 0.0
-        fx = f(math.tan(theta))
-        if fx == 0.0:
-            return 0.0
-        return fx * math.pi / (c * c)
-
-    return wrapped, 0.0, 1.0
-
-
-def integrate(
-    f,
-    domain: Interval,
-    rel_tol: float = 1e-8,
-    max_evaluations: int = 10**6,
-) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod quadrature over a possibly improper domain.
-
-    Half-line and real-line domains are first transformed onto (0, 1); the
-    worst panel (largest local error estimate) is bisected until the summed
-    error estimate satisfies the requested relative tolerance.
+    log_f maps a 1-D float array of abscissae to their ln integrand values.
+    The 20-node rule starts on two panels spanning centre +- 9 scales; while
+    an outermost node is within _LN_DROP of the peak, a panel doubling that
+    side's extent is added. Then every panel is halved until two successive
+    ln sums agree to rel_tol. centre and scale only place the first window:
+    a poor guess costs evaluations, not accuracy. Needing more than
+    _MAX_EVALUATIONS raises NonConvergenceError.
     """
-    if not rel_tol > 0:
-        raise DomainError(f"integrate requires rel_tol > 0, got {rel_tol}")
-    g, a, b = _to_unit_interval(f, domain)
-
+    if not (rel_tol > 0 and 0.0 < scale < math.inf and math.isfinite(centre)):
+        raise DomainError(
+            f"integrate requires rel_tol > 0, scale > 0 and a finite centre, "
+            f"got {rel_tol}, {scale}, {centre}"
+        )
     evaluations = 0
-    heap: list[tuple[float, float, float, float, float]] = []
-    edges = [a + (b - a) * i / _INITIAL_PANELS for i in range(_INITIAL_PANELS + 1)]
-    total = 0.0
-    total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk15(g, lo, hi)
-        evaluations += 15
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, lo, hi, val, err))
 
-    while total_err > rel_tol * abs(total) + 1e-300:
-        if evaluations + 30 > max_evaluations:
+    def evaluate(edges) -> tuple[np.ndarray, np.ndarray]:
+        """ln integrand values and weights of the rule on the panels."""
+        nonlocal evaluations
+        x, w = _panel_nodes(np.asarray(edges))
+        evaluations += len(x)
+        if evaluations > _MAX_EVALUATIONS:
             raise NonConvergenceError(
-                f"quadrature budget of {max_evaluations} evaluations exhausted "
-                f"(value={total!r}, error={total_err!r})"
+                f"quadrature budget of {_MAX_EVALUATIONS} evaluations exhausted"
             )
-        _, lo, hi, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        val_l, err_l = _gk15(g, lo, mid)
-        val_r, err_r = _gk15(g, mid, hi)
-        evaluations += 30
-        total += (val_l + val_r) - val
-        total_err += (err_l + err_r) - err
-        heapq.heappush(heap, (-err_l, lo, mid, val_l, err_l))
-        heapq.heappush(heap, (-err_r, mid, hi, val_r, err_r))
-        if not math.isfinite(total):
-            raise NonConvergenceError("integrand produced a non-finite panel value")
+        values = np.asarray(log_f(x), dtype=float)
+        if not np.all(values < math.inf):
+            raise NonConvergenceError("integrand produced a NaN or infinite ln value")
+        return values, w
 
-    return QuadratureResult(
-        value=total,
-        abs_error_estimate=max(total_err, 0.0),
-        evaluations=evaluations,
-    )
+    edges = [centre - 9.0 * scale, centre, centre + 9.0 * scale]
+    values, weights = evaluate(edges)
+    ends = values[[0, -1]]  # at the outermost nodes, low side first
+    while np.any(ends > np.max(values) - _LN_DROP):
+        side = 0 if ends[0] > np.max(values) - _LN_DROP else -1
+        outer = 2.0 * edges[side] - centre
+        v, w = evaluate(sorted([edges[side], outer]))
+        edges.insert(len(edges) if side else 0, outer)
+        ends[side] = v[side]
+        values, weights = np.concatenate([values, v]), np.concatenate([weights, w])
+
+    total = _log_sum(values, weights)
+    edges = np.array(edges)
+    while True:
+        edges = np.insert(edges, range(1, len(edges)), 0.5 * (edges[1:] + edges[:-1]))
+        refined = _log_sum(*evaluate(edges))
+        error = abs(refined - total)
+        if error <= rel_tol:
+            return QuadratureResult(refined, error, evaluations)
+        total = refined

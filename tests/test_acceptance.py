@@ -7,6 +7,7 @@ listed with the computed value so a regression is immediately attributable.
 
 import math
 
+import numpy as np
 import pytest
 
 from trialbayes.engine import (
@@ -28,7 +29,6 @@ from trialbayes.io import (
 )
 from trialbayes.meta import MetaInput, meta_bf
 from trialbayes.numerics import (
-    Interval,
     cauchy_logpdf,
     central_t_pdf,
     integrate,
@@ -178,17 +178,19 @@ def test_criterion_7_numerics_contracts():
             rel /= central_t_pdf(t, nu)
             if rel > 1e-12:
                 failures.append(f"central reduction t={t} nu={nu}: rel {rel:.2e}")
+    # ln integrands over the real line: the half-line integrals in x = ln g
+    # (ln f(e^x) + x), the Cauchy one in x = sinh u (ln f(sinh u) + ln cosh u)
     integrals = [
-        (lambda g: math.exp(-g), Interval.half_line_positive(), 1.0),
-        (lambda x: math.exp(cauchy_logpdf(x, 1.0)), Interval.real_line(), 1.0),
+        (lambda x: (-np.exp(x)) + x, 1.0),
         (
-            lambda g: g ** -1.5 * math.exp(-0.5 / g) if g > 0 else 0.0,
-            Interval.half_line_positive(),
-            math.sqrt(2 * math.pi),
+            lambda u: np.array([cauchy_logpdf(x, 1.0) for x in np.sinh(u)])
+            + np.log(np.cosh(u)),
+            1.0,
         ),
+        (lambda x: (-1.5 * x - 0.5 * np.exp(-x)) + x, math.sqrt(2 * math.pi)),
     ]
-    for i, (f, domain, want) in enumerate(integrals):
-        got = integrate(f, domain, 1e-10).value
+    for i, (ln_f, want) in enumerate(integrals):
+        got = math.exp(integrate(ln_f, 0.0, 1.0, 1e-10).ln_value)
         rel = abs(got - want) / want
         if rel > 1e-6:
             failures.append(f"integral {i}: rel {rel:.2e}")

@@ -6,6 +6,7 @@ rename or a reordering breaks it. The wrappers that once existed only for
 tests must not come back.
 """
 
+import dataclasses
 import inspect
 
 import pytest
@@ -49,6 +50,23 @@ def test_meta_and_io_names():
     assert _parameters(io.render_report) == ["report", "format"]
     assert _parameters(io.emit_charts) == ["report"]
     assert _parameters(io.load_bundled_dataset) == []
+
+
+def test_quadrature_names():
+    # perfbench/tracing.py wraps engine.integrate and meta.integrate and
+    # reads .evaluations from what they return
+    assert _parameters(numerics.integrate) == ["log_f", "centre", "scale", "rel_tol"]
+    assert [f.name for f in dataclasses.fields(numerics.QuadratureResult)] == [
+        "ln_value", "abs_error_estimate", "evaluations",
+    ]
+    for module in (engine, meta):
+        assert module.integrate is numerics.integrate
+
+
+@pytest.mark.parametrize("name", ["Interval", "IntervalKind"])
+def test_gauss_kronrod_domains_are_gone(name):
+    for module in (trialbayes, numerics):
+        assert not hasattr(module, name)
 
 
 @pytest.mark.parametrize(

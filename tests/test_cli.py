@@ -103,6 +103,12 @@ class TestBf:
         assert cli.main(["bf", "--n", "547", "--p", "0.012"]) == 3
         assert "numerical error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, t", [("5000", "40"), ("20000", "60")])
+    def test_bf_beyond_a_double_is_numerical_error(self, capsys, n, t):
+        # ln BF10 is 737.5 and 1718.6: BF10 itself has no float value
+        assert cli.main(["bf", "--n", n, "--t", t]) == 3
+        assert "does not fit in a double" in capsys.readouterr().err
+
 
 class TestMeta:
     def test_pooled_group(self, capsys, dataset_csv):

@@ -95,6 +95,20 @@ class TestMetaBf:
             approx, rel=0.10
         )
 
+    def test_twenty_strong_studies_stay_finite(self):
+        # t = 8 +- 0.25 at n = 10000 per arm: the pooled BF10 is near e^633,
+        # beyond what a sum of exponentiated integrand values can hold
+        studies = tuple(
+            _summary(round(8.0 + 0.25 * (2 * i / 19 - 1), 4), 10000) for i in range(20)
+        )
+        result = meta_bf(MetaInput(studies=studies))
+        assert math.isfinite(result.bf10)
+        assert result.bf10 * result.bf01 == pytest.approx(1.0, rel=1e-12)
+        assert result.posterior_h1 == 1.0
+        # perfbench/oracle.py meta_ln_bf10 on these 20 (t, 19998, 5000)
+        # summaries (scipy 1.17.1, numpy 2.4.6)
+        assert math.log(result.bf10) == pytest.approx(633.3320327106042, abs=1e-7)
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             MetaInput(studies=())

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from trialbayes.numerics import (
     DomainError,
-    Interval,
     NonConvergenceError,
     cauchy_logpdf,
     central_t_logpdf,
@@ -161,8 +161,10 @@ class TestCentralTPdf:
             assert central_t_pdf(t, 7.0) == central_t_pdf(-t, 7.0)
 
     def test_normalizes(self):
-        result = integrate(lambda t: central_t_pdf(t, 3.0), Interval.real_line(), 1e-10)
-        assert result.value == pytest.approx(1.0, rel=1e-9)
+        result = integrate(
+            _on_sinh(lambda t: math.log(central_t_pdf(t, 3.0))), 0.0, 1.0, 1e-10
+        )
+        assert math.exp(result.ln_value) == pytest.approx(1.0, rel=1e-9)
 
 
 class TestNoncentralTPdf:
@@ -188,11 +190,9 @@ class TestNoncentralTPdf:
     def test_normalizes(self):
         for nu, mu in [(5.0, 1.5), (50.0, -2.0)]:
             result = integrate(
-                lambda t: math.exp(noncentral_t_logpdf(t, nu, mu)),
-                Interval.real_line(),
-                1e-9,
+                _on_sinh(lambda t: noncentral_t_logpdf(t, nu, mu)), 0.0, 1.0, 1e-9
             )
-            assert result.value == pytest.approx(1.0, abs=1e-6)
+            assert math.exp(result.ln_value) == pytest.approx(1.0, abs=1e-6)
 
     def test_against_scipy_grid(self):
         checked = 0
@@ -251,23 +251,41 @@ def _riemann_oracle(f, n_steps=200_000):
     return h * sum(f((i + 0.5) * h) for i in range(n_steps))
 
 
+# integrate() covers the real line and takes ln integrands over arrays, so
+# each test integral is written in an unbounded variable:
+#   over g in (0, inf), x = ln g:  ln[f(g) dg] = ln f(e^x) + x;
+#   over the real line, t = sinh u:  ln[f(t) dt] = ln f(sinh u) + ln cosh u,
+# which turns polynomial tails into exponential ones.
+
+def _on_log(ln_f):
+    """ln integrand over x = ln g for ln_f(g) given on arrays of g > 0."""
+    return lambda x: ln_f(np.exp(x)) + x
+
+
+def _on_sinh(ln_f):
+    """ln integrand over u with t = sinh u, for a scalar ln_f(t)."""
+    return lambda u: np.array([ln_f(t) for t in np.sinh(u)]) + np.log(np.cosh(u))
+
+
+LN_EXP = _on_log(lambda g: -g)  # e^-g, integral 1
+LN_INV_GAMMA = _on_log(lambda g: -1.5 * np.log(g) - 0.5 / g)  # integral sqrt(2 pi)
+LN_CAUCHY = _on_sinh(lambda t: cauchy_logpdf(t, 1.0))  # integral 1
+
+
 class TestIntegrate:
     def test_exponential_half_line(self):
-        result = integrate(lambda g: math.exp(-g), Interval.half_line_positive(), 1e-10)
-        assert result.value == pytest.approx(1.0, rel=1e-9)
+        result = integrate(LN_EXP, 0.0, 1.0, 1e-10)
+        assert math.exp(result.ln_value) == pytest.approx(1.0, rel=1e-9)
         assert result.abs_error_estimate >= 0.0
         assert result.evaluations >= 1
 
     def test_cauchy_normalization_real_line(self):
-        result = integrate(
-            lambda x: math.exp(cauchy_logpdf(x, 1.0)), Interval.real_line(), 1e-10
-        )
-        assert result.value == pytest.approx(1.0, rel=1e-9)
+        result = integrate(LN_CAUCHY, 0.0, 1.0, 1e-10)
+        assert math.exp(result.ln_value) == pytest.approx(1.0, rel=1e-9)
 
     def test_inverse_gamma_normalization(self):
-        f = lambda g: g ** -1.5 * math.exp(-0.5 / g) if g > 0 else 0.0
-        result = integrate(f, Interval.half_line_positive(), 1e-10)
-        assert result.value == pytest.approx(math.sqrt(2 * math.pi), rel=1e-6)
+        result = integrate(LN_INV_GAMMA, 0.0, 1.0, 1e-10)
+        assert math.exp(result.ln_value) == pytest.approx(math.sqrt(2 * math.pi), rel=1e-6)
 
     def test_matches_riemann_oracle(self):
         # Same three integrals, via fixed-step midpoint sums on (0, 1)
@@ -285,43 +303,34 @@ class TestIntegrate:
             * 2 * u / (1 - u) ** 3
         )
         cases = [
-            (lambda g: math.exp(-g), Interval.half_line_positive(), exp_oracle),
-            (
-                lambda x: math.exp(cauchy_logpdf(x, 1.0)),
-                Interval.real_line(),
-                cauchy_oracle,
-            ),
-            (
-                lambda g: g ** -1.5 * math.exp(-0.5 / g) if g > 0 else 0.0,
-                Interval.half_line_positive(),
-                invgamma_oracle,
-            ),
+            (LN_EXP, exp_oracle),
+            (LN_CAUCHY, cauchy_oracle),
+            (LN_INV_GAMMA, invgamma_oracle),
         ]
-        for f, domain, oracle in cases:
-            result = integrate(f, domain, 1e-8)
-            assert result.value == pytest.approx(oracle, rel=1e-4)
-
-    def test_finite_interval(self):
-        result = integrate(math.sin, Interval.finite(0.0, math.pi), 1e-12)
-        assert result.value == pytest.approx(2.0, rel=1e-12)
+        for ln_f, oracle in cases:
+            result = integrate(ln_f, 0.0, 1.0, 1e-8)
+            assert math.exp(result.ln_value) == pytest.approx(oracle, rel=1e-4)
 
     def test_narrow_peak(self):
-        # peak of width 0.003 away from panel boundaries
-        f = lambda x: math.exp(-((x - 0.123456) / 0.003) ** 2 / 2)
-        result = integrate(f, Interval.real_line(), 1e-9)
-        assert result.value == pytest.approx(0.003 * math.sqrt(2 * math.pi), rel=1e-8)
+        # peak of width 0.003 away from panel boundaries, with a window guess
+        # 300 times too wide: the guess costs evaluations, not accuracy
+        result = integrate(lambda x: -0.5 * ((x - 0.123456) / 0.003) ** 2, 0.0, 1.0, 1e-9)
+        assert math.exp(result.ln_value) == pytest.approx(
+            0.003 * math.sqrt(2 * math.pi), rel=1e-8
+        )
 
     def test_budget_exhaustion_raises(self):
         # an integrand oscillating far below panel resolution cannot converge
-        f = lambda g: math.cos(5e4 * g) * math.exp(-g)
+        # (kept positive, as ln integrands must be)
+        f = _on_log(lambda g: np.log1p(0.5 * np.cos(5e4 * g)) - g)
         with pytest.raises(NonConvergenceError):
-            integrate(f, Interval.half_line_positive(), 1e-10)
+            integrate(f, 0.0, 1.0, 1e-10)
 
     def test_bad_interval(self):
         with pytest.raises(DomainError):
-            Interval.finite(2.0, 1.0)
+            integrate(LN_EXP, 0.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            integrate(math.exp, Interval.finite(0.0, 1.0), 0.0)
+            integrate(LN_EXP, 0.0, 0.0, 1e-8)
 
 
 class TestDeterminism:
@@ -330,8 +339,8 @@ class TestDeterminism:
             (student_t_quantile(0.994, 546.0), student_t_quantile(0.994, 546.0)),
             (noncentral_t_logpdf(2.52, 1092.0, 2.5), noncentral_t_logpdf(2.52, 1092.0, 2.5)),
             (
-                integrate(lambda g: math.exp(-g), Interval.half_line_positive(), 1e-9).value,
-                integrate(lambda g: math.exp(-g), Interval.half_line_positive(), 1e-9).value,
+                integrate(LN_EXP, 0.0, 1.0, 1e-9).ln_value,
+                integrate(LN_EXP, 0.0, 1.0, 1e-9).ln_value,
             ),
         ]
         for a, b in pairs:
