@@ -181,13 +181,13 @@ def test_criterion_7_numerics_contracts():
     # ln integrands over the real line: the half-line integrals in x = ln g
     # (ln f(e^x) + x), the Cauchy one in x = sinh u (ln f(sinh u) + ln cosh u)
     integrals = [
-        (lambda x: (-np.exp(x)) + x, 1.0),
+        (lambda x: -np.exp(x) + x, 1.0),
         (
             lambda u: np.array([cauchy_logpdf(x, 1.0) for x in np.sinh(u)])
             + np.log(np.cosh(u)),
             1.0,
         ),
-        (lambda x: (-1.5 * x - 0.5 * np.exp(-x)) + x, math.sqrt(2 * math.pi)),
+        (lambda x: -1.5 * x - 0.5 * np.exp(-x) + x, math.sqrt(2 * math.pi)),
     ]
     for i, (ln_f, want) in enumerate(integrals):
         got = math.exp(integrate(ln_f, 0.0, 1.0, 1e-10).ln_value)
