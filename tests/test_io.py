@@ -1,5 +1,6 @@
 """Tests for dataset parsing, report rendering and SVG chart output."""
 
+import hashlib
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -242,6 +243,14 @@ class TestCharts:
         _, post_svg = emit_charts(report)
         assert len(_bars(post_svg)) == 4
         assert "meta" not in post_svg.decode("utf-8")
+
+    def test_bundled_chart_bytes(self, full_report):
+        # pins both SVGs byte for byte, so a rewrite of the chart code shows
+        digests = [hashlib.sha256(svg).hexdigest() for svg in emit_charts(full_report)]
+        assert digests == [
+            "647edcd69831262b8d668d7ea6ba4961f42a5de9a795b0b2aa3cb86726fcecf4",
+            "307ced73f6c11b020eb99f1a9c59c4d79d7888049b296b1d6e39f14000567692",
+        ]
 
     def test_bar_heights_follow_posteriors(self, full_report):
         _, post_svg = emit_charts(full_report)
