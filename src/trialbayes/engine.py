@@ -4,7 +4,10 @@ Turns a published (n, p) or (n, t) summary into a JZS Bayes factor, a
 posterior probability, and a Jeffreys evidence label. The Bayes factor is
 computed two mathematically equivalent ways (an integral over the prior
 mixing variance g and an integral over the effect size delta) and the two
-routes are cross-checked against each other on every analysis.
+routes are cross-checked against each other on every analysis. The delta
+integral is the one marginal behind both the single-study and the pooled
+(meta-analytic) Bayes factor; a pool of one study is the single-study form.
+Every integral runs to the one fixed tolerance QUADRATURE_REL_TOL.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "TWO_SIDED",
     "ONE_SIDED",
     "DEFAULT_CAUCHY_SCALE",
+    "QUADRATURE_REL_TOL",
     "InternalConsistencyError",
     "StudyRecord",
     "TTestSummary",
@@ -50,6 +54,8 @@ TWO_SIDED = "two_sided"
 ONE_SIDED = "one_sided"
 
 DEFAULT_CAUCHY_SCALE = math.sqrt(2.0) / 2.0
+
+QUADRATURE_REL_TOL = 1e-8  # every Bayes factor integral, in ln
 
 _LN_MAX_DOUBLE = math.log(sys.float_info.max)  # ln BF beyond +-this has no float
 
@@ -135,7 +141,6 @@ class AnalysisConfig:
     cauchy_scale_r: float = DEFAULT_CAUCHY_SCALE
     prior_h1: float = 0.5
     sidedness: str = TWO_SIDED
-    rel_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.cauchy_scale_r > 0:
@@ -144,8 +149,6 @@ class AnalysisConfig:
             raise DomainError(f"prior_h1 must be in [0, 1], got {self.prior_h1}")
         if self.sidedness not in (TWO_SIDED, ONE_SIDED):
             raise DomainError(f"unknown sidedness {self.sidedness!r}")
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
 
 
 @dataclass(frozen=True)
@@ -175,14 +178,14 @@ def t_from_p(p: float, nu: float, sidedness: str = TWO_SIDED) -> float:
     """Recover the (nonnegative) t statistic from a published p-value."""
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
-    if p <= 1e-300:
-        raise OverflowError(f"p={p} is too small to invert without overflow")
     if sidedness == TWO_SIDED:
         q = 1.0 - p / 2.0
     elif sidedness == ONE_SIDED:
         q = 1.0 - p
     else:
         raise DomainError(f"unknown sidedness {sidedness!r}")
+    if q == 1.0:
+        raise DomainError(f"p={p} too small to invert in double precision")
     return max(student_t_quantile(q, nu), 0.0)
 
 
@@ -220,10 +223,7 @@ def summarize(record: StudyRecord, config: AnalysisConfig = AnalysisConfig()) ->
 
 
 def jzs_bf_g_form(
-    t: float,
-    summary: TTestSummary,
-    r: float = DEFAULT_CAUCHY_SCALE,
-    rel_tol: float = 1e-8,
+    t: float, summary: TTestSummary, r: float = DEFAULT_CAUCHY_SCALE
 ) -> float:
     """B01 via the JZS integral over the prior mixing variance g, in x = ln g."""
     if not r > 0:
@@ -243,35 +243,43 @@ def jzs_bf_g_form(
     # Near its peak the integrand is about exp(-x - (r^2 + t^2/n_eff) e^-x / 2),
     # which peaks at that e^x and has unit width; above it, it falls like
     # e^-x, and integrate widens the window on that side.
-    marginal = integrate(log_f, math.log(0.5 * (r * r + t * t / n_eff)), 0.5, rel_tol)
+    marginal = integrate(log_f, math.log(0.5 * (r * r + t * t / n_eff)), 0.5,
+                         QUADRATURE_REL_TOL)
     ln_null = -0.5 * (nu + 1.0) * math.log1p(t * t / nu)
     return _bf_from_ln(ln_null - marginal.ln_value)
 
 
-def _jzs_delta_form(t: float, summary: TTestSummary, r: float, rel_tol: float):
-    """ln BF10 and its quadrature: the marginal density of t under H1 (the
-    noncentral t mixed over a Cauchy delta) over the central t density."""
-    nu, n_eff = summary.nu_bf, summary.n_eff
-    root_n = math.sqrt(n_eff)
+def _delta_marginal(studies, r: float):
+    """ln BF10 and its quadrature for (t, nu_bf, n_eff) studies that share one
+    effect size delta with a Cauchy(0, r) prior: the product of the studies'
+    noncentral t densities mixed over delta, over their central t densities."""
+    studies = [(t, nu, math.sqrt(n_eff)) for t, nu, n_eff in studies]
+    ln_null = sum(central_t_logpdf(t, nu) for t, nu, _ in studies)
 
     def log_f(deltas):
-        return [noncentral_t_logpdf(t, nu, d * root_n) + cauchy_logpdf(d, r) for d in deltas]
+        return [
+            cauchy_logpdf(d, r)
+            + sum(noncentral_t_logpdf(t, nu, d * root_n) for t, nu, root_n in studies)
+            for d in deltas
+        ]
 
-    scale = math.sqrt((1.0 + t * t / (2.0 * nu)) / n_eff)
-    marginal = integrate(log_f, t / root_n, scale, rel_tol)
-    return marginal.ln_value - central_t_logpdf(t, nu), marginal
+    # Laplace guess: study i alone puts delta near t / sqrt(n_eff) with
+    # precision n_eff / (1 + t^2 / (2 nu)); pool those as normal likelihoods.
+    weights = [(root_n * root_n / (1.0 + t * t / (2.0 * nu)), t / root_n)
+               for t, nu, root_n in studies]
+    precision = sum(w for w, _ in weights)
+    centre = sum(w * delta for w, delta in weights) / precision
+    marginal = integrate(log_f, centre, 1.0 / math.sqrt(precision), QUADRATURE_REL_TOL)
+    return marginal.ln_value - ln_null, marginal
 
 
 def jzs_bf_delta_form(
-    t: float,
-    summary: TTestSummary,
-    r: float = DEFAULT_CAUCHY_SCALE,
-    rel_tol: float = 1e-8,
+    t: float, summary: TTestSummary, r: float = DEFAULT_CAUCHY_SCALE
 ) -> float:
     """BF10 via the marginal-likelihood integral over the effect size delta."""
     if not r > 0:
         raise DomainError(f"prior scale r must be > 0, got {r}")
-    return _bf_from_ln(_jzs_delta_form(t, summary, r, rel_tol)[0])
+    return _bf_from_ln(_delta_marginal([(t, summary.nu_bf, summary.n_eff)], r)[0])
 
 
 def _bf_from_ln(ln_bf: float) -> float:
@@ -322,10 +330,10 @@ def analyze_study(
     """
     summary = summarize(record, config)
     r = config.cauchy_scale_r
-    ln_bf10, marginal = _jzs_delta_form(summary.t, summary, r, config.rel_tol)
+    ln_bf10, marginal = _delta_marginal([(summary.t, summary.nu_bf, summary.n_eff)], r)
     bf10 = _bf_from_ln(ln_bf10)
 
-    bf01_check = jzs_bf_g_form(summary.t, summary, r, config.rel_tol)
+    bf01_check = jzs_bf_g_form(summary.t, summary, r)
     if abs(bf10 * bf01_check - 1.0) > 1e-4:
         raise InternalConsistencyError(
             f"g-form and delta-form Bayes factors disagree: "

@@ -18,6 +18,7 @@ from importlib import resources
 from . import __version__
 from .engine import (
     ONE_SAMPLE,
+    QUADRATURE_REL_TOL,
     TWO_SAMPLE_EQUAL_ARMS,
     AnalysisConfig,
     BayesFactorResult,
@@ -107,7 +108,9 @@ class Report:
 
 
 def _record_from_row(row: dict, where: str) -> StudyRecord:
-    design_name = (row.get("design") or "two_sample").strip()
+    if "trial" not in row or "arm" not in row:
+        raise DatasetError(f"{where}: trial and arm must be present")
+    design_name = str(row.get("design") or "two_sample").strip()
     if design_name not in _DESIGNS:
         raise DatasetError(f"{where}: unknown design {design_name!r}")
     p_raw, t_raw = row.get("p"), row.get("t")
@@ -122,7 +125,7 @@ def _record_from_row(row: dict, where: str) -> StudyRecord:
     try:
         p = float(p_raw) if has_p else None
         t = float(t_raw) if has_t else None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DatasetError(f"{where}: non-numeric p/t value") from exc
     if p is not None and not 0.0 < p < 1.0:
         raise DatasetError(f"{where}: p out of range: {p}")
@@ -141,7 +144,10 @@ def _record_from_row(row: dict, where: str) -> StudyRecord:
 
 def parse_dataset(data: bytes | str, format: str = "csv", name: str = "dataset") -> Dataset:
     """Parse and validate a study dataset from CSV or JSON bytes."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"dataset is not UTF-8 text: {exc}") from None
     if format == "csv":
         reader = csv.reader(_stdio.StringIO(text))
         try:
@@ -167,11 +173,13 @@ def parse_dataset(data: bytes | str, format: str = "csv", name: str = "dataset")
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"invalid JSON: {exc}") from exc
-        if not isinstance(payload, dict) or "records" not in payload:
-            raise DatasetError("JSON dataset must be an object with a 'records' array")
+        rows = payload.get("records") if isinstance(payload, dict) else None
+        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+            raise DatasetError("JSON dataset must be an object with a 'records' array "
+                               "of objects")
         records = [
             _record_from_row(row, f"records[{i}]")
-            for i, row in enumerate(payload["records"])
+            for i, row in enumerate(rows)
         ]
         return Dataset(name=str(payload.get("name", name)), records=tuple(records))
     raise DatasetError(f"unknown dataset format {format!r}")
@@ -230,22 +238,12 @@ def pool_groups(
 ) -> tuple[MetaGroupResult, ...]:
     """Pool each group of dataset records into one meta-analytic Bayes factor.
 
-    Members are (trial, arm) pairs or 'trial.arm' strings. Every group is
-    resolved against the dataset before any pooling starts.
+    Members are (trial, arm) pairs. Every group is resolved against the
+    dataset before any pooling starts.
     """
     resolved = {}
     for group, members in meta_groups.items():
-        records = []
-        for member in members:
-            if isinstance(member, str):
-                trial, sep, arm = member.partition(".")
-                if not sep:
-                    raise DatasetError(
-                        f"meta group {group!r}: member {member!r} is not 'trial.arm'"
-                    )
-            else:
-                trial, arm = member
-            records.append(dataset.find(trial, arm))
+        records = [dataset.find(trial, arm) for trial, arm in members]
         if not records:
             raise DatasetError(f"meta group {group!r} is empty")
         resolved[group] = records
@@ -301,7 +299,7 @@ def report_to_dict(report: Report) -> dict:
             "cauchy_scale_r": cfg.cauchy_scale_r,
             "prior_h1": cfg.prior_h1,
             "sidedness": cfg.sidedness,
-            "rel_tol": cfg.rel_tol,
+            "rel_tol": QUADRATURE_REL_TOL,
         },
         "studies": [
             {
@@ -394,6 +392,8 @@ _MARGIN_LEFT = 70
 _MARGIN_RIGHT = 20
 _MARGIN_TOP = 40
 _MARGIN_BOTTOM = 60
+_PLOT_W = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+_PLOT_H = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 _BAR_FILL = ("#4878a8", "#c44e52")
 
 
@@ -423,94 +423,80 @@ def _text(x: float, y: float, s: str, size: int = 12, anchor: str = "middle") ->
     )
 
 
-def _bf_chart(report: Report) -> bytes:
-    """Bar chart of BF10 per (trial, arm) on a log axis, reference at BF=1."""
-    entries = [
-        (f"{s.record.trial} {s.record.arm}", s.result.bf10, s.record.arm)
-        for s in report.studies
-    ]
-    logs = [math.log10(v) for _, v, _ in entries] + [0.0]
-    lo = min(logs) - 0.3
-    hi = max(logs) + 0.3
-    plot_w = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-
-    def y_of(log_bf: float) -> float:
-        return _MARGIN_TOP + (hi - log_bf) / (hi - lo) * plot_h
-
-    parts = _svg_header("Bayes factors (BF10) by trial and dose")
-    # log-scale gridlines at decades within range
-    tick = math.ceil(lo)
-    while tick <= hi:
-        y = y_of(tick)
+def _bar_chart(title, y_of, ticks, bars, marks=(), axis_label=None) -> bytes:
+    """SVG bar chart: a gridline at each (value, text) tick, the ready-made
+    marks, then one bar per (label, value, fill, value text) in equal slots;
+    y_of maps a value to its y coordinate."""
+    parts = _svg_header(title)
+    for value, text in ticks:
+        y = y_of(value)
         parts.append(
             f'<line x1="{_MARGIN_LEFT}" y1="{y:.2f}" x2="{SVG_WIDTH - _MARGIN_RIGHT}" '
             f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
         )
-        parts.append(_text(_MARGIN_LEFT - 8, y + 4, f"{10.0 ** tick:g}", 11, "end"))
-        tick += 1
-    y_ref = y_of(0.0)
-    parts.append(
-        f'<line class="bf-one" x1="{_MARGIN_LEFT}" y1="{y_ref:.2f}" '
-        f'x2="{SVG_WIDTH - _MARGIN_RIGHT}" y2="{y_ref:.2f}" '
-        f'stroke="#333333" stroke-width="1.5" stroke-dasharray="6,3"/>'
-    )
-    parts.append(_text(SVG_WIDTH - _MARGIN_RIGHT, y_ref - 5, "BF = 1", 11, "end"))
+        parts.append(_text(_MARGIN_LEFT - 8, y + 4, text, 11, "end"))
+    parts.extend(marks)
 
-    n = len(entries)
-    slot = plot_w / n
+    slot = _PLOT_W / len(bars)
     bar_w = slot * 0.55
-    y_base = _MARGIN_TOP + plot_h
-    arms = sorted({arm for _, _, arm in entries})
-    for i, (label, bf, arm) in enumerate(entries):
+    y_base = _MARGIN_TOP + _PLOT_H
+    for i, (label, value, fill, shown) in enumerate(bars):
         x = _MARGIN_LEFT + slot * i + (slot - bar_w) / 2
-        y_top = y_of(math.log10(bf))
-        fill = _BAR_FILL[arms.index(arm) % len(_BAR_FILL)]
+        y_top = y_of(value)
         parts.append(_bar(x, y_top, bar_w, y_base - y_top, fill))
         parts.append(_text(x + bar_w / 2, y_base + 16, label, 11))
-        parts.append(_text(x + bar_w / 2, y_top - 5, _fmt_bf(bf), 11))
-    parts.append(_text(16, _MARGIN_TOP + plot_h / 2, "BF10 (log scale)", 12, "middle"))
+        parts.append(_text(x + bar_w / 2, y_top - 5, shown, 11))
+    if axis_label:
+        parts.append(_text(16, _MARGIN_TOP + _PLOT_H / 2, axis_label, 12, "middle"))
     parts.append("</svg>")
     return "\n".join(parts).encode("utf-8")
+
+
+def _bf_chart(report: Report) -> bytes:
+    """Bar chart of BF10 per (trial, arm) on a log axis, reference at BF=1."""
+    arms = sorted({s.record.arm for s in report.studies})
+    bars = [
+        (f"{s.record.trial} {s.record.arm}", math.log10(s.result.bf10),
+         _BAR_FILL[arms.index(s.record.arm) % len(_BAR_FILL)], _fmt_bf(s.result.bf10))
+        for s in report.studies
+    ]
+    logs = [value for _, value, _, _ in bars] + [0.0]
+    lo = min(logs) - 0.3
+    hi = max(logs) + 0.3
+
+    def y_of(log_bf: float) -> float:
+        return _MARGIN_TOP + (hi - log_bf) / (hi - lo) * _PLOT_H
+
+    # log-scale gridlines at decades within range
+    ticks = [(tick, f"{10.0 ** tick:g}")
+             for tick in range(math.ceil(lo), math.floor(hi) + 1)]
+    y_ref = y_of(0.0)
+    marks = [
+        f'<line class="bf-one" x1="{_MARGIN_LEFT}" y1="{y_ref:.2f}" '
+        f'x2="{SVG_WIDTH - _MARGIN_RIGHT}" y2="{y_ref:.2f}" '
+        f'stroke="#333333" stroke-width="1.5" stroke-dasharray="6,3"/>',
+        _text(SVG_WIDTH - _MARGIN_RIGHT, y_ref - 5, "BF = 1", 11, "end"),
+    ]
+    return _bar_chart("Bayes factors (BF10) by trial and dose", y_of, ticks, bars,
+                      marks, "BF10 (log scale)")
 
 
 def _posterior_chart(report: Report) -> bytes:
     """Bar chart of posterior P(H1|D) per condition plus meta-analysis bars."""
-    entries = [
-        (f"{s.record.trial} {s.record.arm}", s.result.posterior_h1, False)
+    bars = [
+        (f"{s.record.trial} {s.record.arm}", s.result.posterior_h1, "#4878a8",
+         _fmt_pct(s.result.posterior_h1))
         for s in report.studies
+    ] + [
+        (f"meta {m.group}", m.result.posterior_h1, "#55a868", _fmt_pct(m.result.posterior_h1))
+        for m in report.meta
     ]
-    entries += [
-        (f"meta {m.group}", m.result.posterior_h1, True) for m in report.meta
-    ]
-    plot_w = SVG_WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = SVG_HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-    y_base = _MARGIN_TOP + plot_h
 
     def y_of(p: float) -> float:
-        return y_base - p * plot_h
+        return _MARGIN_TOP + _PLOT_H - p * _PLOT_H
 
-    parts = _svg_header("Posterior probability of efficacy P(H1|D)")
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        y = y_of(frac)
-        parts.append(
-            f'<line x1="{_MARGIN_LEFT}" y1="{y:.2f}" x2="{SVG_WIDTH - _MARGIN_RIGHT}" '
-            f'y2="{y:.2f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(_text(_MARGIN_LEFT - 8, y + 4, f"{frac * 100:.0f}%", 11, "end"))
-
-    n = len(entries)
-    slot = plot_w / n
-    bar_w = slot * 0.55
-    for i, (label, posterior, is_meta) in enumerate(entries):
-        x = _MARGIN_LEFT + slot * i + (slot - bar_w) / 2
-        y_top = y_of(posterior)
-        fill = "#55a868" if is_meta else "#4878a8"
-        parts.append(_bar(x, y_top, bar_w, y_base - y_top, fill))
-        parts.append(_text(x + bar_w / 2, y_base + 16, label, 11))
-        parts.append(_text(x + bar_w / 2, y_top - 5, _fmt_pct(posterior), 11))
-    parts.append("</svg>")
-    return "\n".join(parts).encode("utf-8")
+    ticks = [(frac, f"{frac * 100:.0f}%") for frac in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    return _bar_chart("Posterior probability of efficacy P(H1|D)", y_of, ticks, bars)
 
 
 def emit_charts(report: Report) -> tuple[bytes, bytes]:

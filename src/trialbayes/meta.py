@@ -2,25 +2,27 @@
 
 Compares delta = 0 against a single shared standardized effect delta with a
 Cauchy prior, using products of (non)central t densities over the M input
-studies. Per-study density products are accumulated in log space so large M
-cannot underflow.
+studies. The integral is the engine's delta marginal, the same one behind
+the single-study Bayes factor, so a pool of one study gives exactly that
+study's BF10; it sums the densities in log space, so large M cannot
+underflow.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .engine import DEFAULT_CAUCHY_SCALE, TTestSummary, _bf_from_ln, posterior_prob
-from .numerics import (
-    DomainError,
-    cauchy_logpdf,
-    central_t_logpdf,
-    integrate,
-    noncentral_t_logpdf,
+from .engine import (
+    DEFAULT_CAUCHY_SCALE,
+    TTestSummary,
+    _bf_from_ln,
+    _delta_marginal,
+    posterior_prob,
 )
+from .numerics import DomainError
 
 __all__ = ["MetaInput", "MetaResult", "meta_bf"]
+
 
 @dataclass(frozen=True)
 class MetaInput:
@@ -47,27 +49,13 @@ def meta_bf(data: MetaInput, prior_h1: float = 0.5) -> MetaResult:
     """Combined Bayes factor across the input studies.
 
     The shared effect size is integrated over the full real line under a
-    two-sided Cauchy prior.
+    two-sided Cauchy prior, by the engine's delta marginal; one study gives
+    exactly the single-study Bayes factor.
     """
-    studies = [(s.t, s.nu_bf, math.sqrt(s.n_eff)) for s in data.studies]
-    ln_null = sum(central_t_logpdf(t, nu) for t, nu, _ in studies)
-    r = data.r
-
-    def log_f(deltas):
-        return [
-            cauchy_logpdf(d, r)
-            + sum(noncentral_t_logpdf(t, nu, d * root_n) for t, nu, root_n in studies)
-            for d in deltas
-        ]
-
-    # Laplace guess: study i alone puts delta near t / sqrt(n_eff) with
-    # precision n_eff / (1 + t^2 / (2 nu)); pool those as normal likelihoods.
-    weights = [(root_n * root_n / (1.0 + t * t / (2.0 * nu)), t / root_n)
-               for t, nu, root_n in studies]
-    precision = sum(w for w, _ in weights)
-    centre = sum(w * delta for w, delta in weights) / precision
-    marginal = integrate(log_f, centre, 1.0 / math.sqrt(precision), 1e-8)
-    bf10 = _bf_from_ln(marginal.ln_value - ln_null)
+    ln_bf10, marginal = _delta_marginal(
+        [(s.t, s.nu_bf, s.n_eff) for s in data.studies], data.r
+    )
+    bf10 = _bf_from_ln(ln_bf10)
     return MetaResult(
         bf10=bf10,
         bf01=1.0 / bf10,

@@ -25,13 +25,13 @@ def test_engine_names():
     ]
     assert engine.TWO_SAMPLE_EQUAL_ARMS != engine.ONE_SAMPLE
     assert _parameters(engine.AnalysisConfig) == [
-        "cauchy_scale_r", "prior_h1", "sidedness", "rel_tol",
+        "cauchy_scale_r", "prior_h1", "sidedness",
     ]
     for fn in (trialbayes.analyze_study, trialbayes.summarize):
         assert _parameters(fn) == ["record", "config"]
     assert _parameters(trialbayes.classify_evidence) == ["bf10"]
     for fn in (engine.jzs_bf_delta_form, engine.jzs_bf_g_form):
-        assert _parameters(fn)[:2] == ["t", "summary"]
+        assert _parameters(fn) == ["t", "summary", "r"]
 
 
 def test_summary_fields():
@@ -53,14 +53,14 @@ def test_meta_and_io_names():
 
 
 def test_quadrature_names():
-    # perfbench/tracing.py wraps engine.integrate and meta.integrate and
-    # reads .evaluations from what they return
+    # perfbench/tracing.py wraps engine.integrate and reads .evaluations
+    # from what it returns; the pooled Bayes factor runs through the engine
     assert _parameters(numerics.integrate) == ["log_f", "centre", "scale", "rel_tol"]
     assert [f.name for f in dataclasses.fields(numerics.QuadratureResult)] == [
         "ln_value", "abs_error_estimate", "evaluations",
     ]
-    for module in (engine, meta):
-        assert module.integrate is numerics.integrate
+    assert engine.integrate is numerics.integrate
+    assert not hasattr(meta, "integrate")
 
 
 @pytest.mark.parametrize("name", ["Interval", "IntervalKind"])
@@ -70,7 +70,8 @@ def test_gauss_kronrod_domains_are_gone(name):
 
 
 @pytest.mark.parametrize(
-    "name", ["ln_gamma", "cauchy_pdf", "noncentral_t_pdf", "analyze_summary"]
+    "name",
+    ["ln_gamma", "cauchy_pdf", "noncentral_t_pdf", "analyze_summary", "_jzs_delta_form"],
 )
 def test_test_only_wrappers_are_gone(name):
     for module in (trialbayes, engine, meta, numerics):

@@ -176,6 +176,17 @@ class TestMeta:
         bad.write_text("wrong,header\n1,2\n")
         assert cli.main(["meta", "--input", str(bad), "--group", "x=A.b"]) == 2
 
+    @pytest.mark.parametrize("name, content", [
+        ("latin1.csv", b"trial,arm,n,p,t,design\nZ\xfcrich,low,50,0.2,,two_sample\n"),
+        ("dict.json", b'{"records": {"a": 1}}'),
+        ("no_arm.json", b'{"records": [{"trial": "A", "n": 10, "p": 0.05}]}'),
+    ])
+    def test_unreadable_dataset_is_data_error(self, tmp_path, capsys, name, content):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        assert cli.main(["meta", "--input", str(bad), "--group", "x=A.b"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestReport:
     def test_default_bundled_run(self, capsys, tmp_path):

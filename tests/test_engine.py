@@ -61,8 +61,16 @@ class TestTFromP:
             t_from_p(0.0, 10.0)
         with pytest.raises(DomainError):
             t_from_p(1.0, 10.0)
-        with pytest.raises(OverflowError):
+        with pytest.raises(DomainError):
             t_from_p(1e-301, 10.0)
+
+    @pytest.mark.parametrize("sidedness, q_gap", [("two_sided", 2.0), ("one_sided", 1.0)])
+    def test_refuses_exactly_when_q_rounds_to_one(self, sidedness, q_gap):
+        # 1 - p/2 (two-sided) or 1 - p (one-sided) rounds to 1 at p = q_gap * 2^-54
+        smallest = q_gap * 2.0**-54
+        with pytest.raises(DomainError, match="too small to invert"):
+            t_from_p(smallest, 10.0, sidedness)
+        assert math.isfinite(t_from_p(math.nextafter(smallest, 1.0), 10.0, sidedness))
 
 
 class TestSummarize:
@@ -142,7 +150,6 @@ class TestConfigValidation:
         cfg = AnalysisConfig()
         assert cfg.cauchy_scale_r == pytest.approx(math.sqrt(2) / 2)
         assert cfg.prior_h1 == 0.5
-        assert cfg.rel_tol == 1e-8
 
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):
@@ -151,8 +158,6 @@ class TestConfigValidation:
             AnalysisConfig(prior_h1=1.5)
         with pytest.raises(DomainError):
             AnalysisConfig(sidedness="lopsided")
-        with pytest.raises(DomainError):
-            AnalysisConfig(rel_tol=-1e-8)
 
 
 class TestJzsBayesFactor:

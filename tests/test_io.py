@@ -115,6 +115,32 @@ class TestParseDataset:
         with pytest.raises(DatasetError, match=r"records\[0\]"):
             parse_dataset('{"records": [{"trial": "a"}]}', "json")
 
+    def test_non_utf8_bytes(self):
+        with pytest.raises(DatasetError, match="not UTF-8"):
+            parse_dataset(GOOD_CSV.encode("utf-8") + b"\xff\xfe", "csv")
+
+    @pytest.mark.parametrize("records", ['{"a": 1}', "[1]", "null"])
+    def test_json_records_not_a_list_of_objects(self, records):
+        with pytest.raises(DatasetError, match="array of objects"):
+            parse_dataset(f'{{"records": {records}}}', "json")
+
+    @pytest.mark.parametrize("missing", ["trial", "arm"])
+    def test_json_record_without_trial_or_arm(self, missing):
+        row = {"trial": "A", "arm": "b", "n": 10, "p": 0.05}
+        del row[missing]
+        with pytest.raises(DatasetError, match=r"records\[0\]: trial and arm"):
+            parse_dataset(json.dumps({"records": [row]}), "json")
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"p": [0.1]}, "non-numeric"),
+        ({"t": {}}, "non-numeric"),
+        ({"p": 0.05, "design": 3}, "unknown design"),
+    ])
+    def test_json_field_of_the_wrong_type(self, fields, message):
+        row = {"trial": "A", "arm": "b", "n": 10, **fields}
+        with pytest.raises(DatasetError, match=message):
+            parse_dataset(json.dumps({"records": [row]}), "json")
+
     def test_unknown_format(self):
         with pytest.raises(DatasetError):
             parse_dataset(GOOD_CSV, "xml")
@@ -139,16 +165,15 @@ class TestRunReanalysis:
         report = run_reanalysis(
             load_bundled_dataset(),
             AnalysisConfig(),
-            {"solo": ["EMERGE.high"]},
+            {"solo": [("EMERGE", "high")]},
         )
-        assert report.meta[0].result.bf10 == pytest.approx(
-            report.studies[1].result.bf10, rel=1e-6
-        )
+        # a pool of one study is the single-study delta form, bit for bit
+        assert report.meta[0].result.bf10 == report.studies[1].result.bf10
 
     def test_unknown_group_member(self):
         with pytest.raises(DatasetError, match="no record"):
             run_reanalysis(
-                load_bundled_dataset(), AnalysisConfig(), {"x": ["EMERGE.mid"]}
+                load_bundled_dataset(), AnalysisConfig(), {"x": [("EMERGE", "mid")]}
             )
 
     def test_empty_group(self):
