@@ -16,6 +16,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .numerics import (
     LN_2PI,
     DomainError,
@@ -233,12 +235,11 @@ def jzs_bf_g_form(
     half_r2 = 0.5 * r * r
 
     def log_f(xs):
-        shrinks = [1.0 + n_eff * math.exp(x) for x in xs]
-        return [
-            -0.5 * math.log(s) - 0.5 * (nu + 1.0) * math.log1p(t * t / (s * nu))
-            + c - 0.5 * x - half_r2 * math.exp(-x)
-            for x, s in zip(xs, shrinks)
-        ]
+        shrinks = 1.0 + n_eff * np.exp(xs)
+        return (
+            -0.5 * np.log(shrinks) - 0.5 * (nu + 1.0) * np.log1p(t * t / (shrinks * nu))
+            + c - 0.5 * xs - half_r2 * np.exp(-xs)
+        )
 
     # Near its peak the integrand is about exp(-x - (r^2 + t^2/n_eff) e^-x / 2),
     # which peaks at that e^x and has unit width; above it, it falls like
@@ -255,13 +256,12 @@ def _delta_marginal(studies, r: float):
     noncentral t densities mixed over delta, over their central t densities."""
     studies = [(t, nu, math.sqrt(n_eff)) for t, nu, n_eff in studies]
     ln_null = sum(central_t_logpdf(t, nu) for t, nu, _ in studies)
+    ts, nus, root_ns = (np.array(column)[:, None] for column in zip(*studies))
 
     def log_f(deltas):
-        return [
-            cauchy_logpdf(d, r)
-            + sum(noncentral_t_logpdf(t, nu, d * root_n) for t, nu, root_n in studies)
-            for d in deltas
-        ]
+        # one kernel call over studies x delta nodes, summed over the studies
+        ln_f = noncentral_t_logpdf(ts, nus, root_ns * deltas)
+        return cauchy_logpdf(deltas, r) + ln_f.sum(axis=0)
 
     # Laplace guess: study i alone puts delta near t / sqrt(n_eff) with
     # precision n_eff / (1 + t^2 / (2 nu)); pool those as normal likelihoods.

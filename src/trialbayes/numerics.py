@@ -2,7 +2,7 @@
 
 Everything downstream (t statistics, Bayes factors, meta-analysis) is built
 on the functions in this module. All routines are pure, deterministic and
-implemented with double precision scalars plus one fixed Gauss-Legendre
+implemented with double precision arithmetic plus one fixed Gauss-Legendre
 node table, so identical inputs always give bit-identical outputs.
 """
 
@@ -130,7 +130,7 @@ def student_t_cdf(t: float, nu: float) -> float:
 
 def central_t_logpdf(t: float, nu: float) -> float:
     if not nu > 0:
-        raise DomainError(f"central_t_pdf requires nu > 0, got {nu}")
+        raise DomainError(f"central_t_logpdf requires nu > 0, got {nu}")
     return (
         math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu)
         - 0.5 * math.log(nu * math.pi)
@@ -193,8 +193,27 @@ def student_t_quantile(q: float, nu: float) -> float:
 # Composite Gauss-Legendre rule in log space
 # ---------------------------------------------------------------------------
 
-# One 20-node rule serves the noncentral t density and integrate().
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# One 20-node rule serves the noncentral t density and integrate(). These are
+# the values of numpy.polynomial.legendre.leggauss(20), bit for bit, written
+# out so that importing this module loads no polynomial or eigen-solver code.
+_GL_NODES = np.array([
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326,
+    -0.8391169718222188, -0.7463319064601508, -0.636053680726515,
+    -0.5108670019508271, -0.37370608871541955, -0.22778585114164507,
+    -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+    0.37370608871541955, 0.5108670019508271, 0.636053680726515,
+    0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+    0.9639719272779138, 0.993128599185095,
+])
+_GL_WEIGHTS = np.array([
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879,
+    0.08327674157670471, 0.1019301198172407, 0.1181945319615186,
+    0.1316886384491769, 0.1420961093183824, 0.14917298647260424,
+    0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+    0.1420961093183824, 0.1316886384491769, 0.1181945319615186,
+    0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+    0.040601429800386446, 0.017614007139150893,
+])
 
 
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -214,6 +233,11 @@ def _log_sum(log_f: np.ndarray, w: np.ndarray) -> float:
     return peak + math.log(float(np.dot(w, np.exp(log_f - peak))))
 
 
+def _scalar_or_array(values: np.ndarray):
+    """A float for a 0-d result, else the array."""
+    return float(values) if values.ndim == 0 else values
+
+
 # ---------------------------------------------------------------------------
 # Noncentral t density
 # ---------------------------------------------------------------------------
@@ -224,80 +248,189 @@ def _log_sum(log_f: np.ndarray, w: np.ndarray) -> float:
 # which we integrate with fixed Gauss-Legendre panels centered on the peak
 # of L. All arithmetic stays in log space so extreme noncentralities only
 # underflow the final exp, never the intermediate sums.
+#
+# Each density has its own mesh: _NCT_PANELS equal panels over the peak
+# +- _NCT_HALF_WIDTH sigmas, cut at q = 0. Where the cut happens the first
+# panel is split geometrically toward 0, and where t * mu < 0 a doubling
+# ladder of edges is merged in as well. Densities are evaluated in blocks
+# of _NCT_ROWS meshes and _NCT_NODES abscissae, so that no temporary grows
+# with the number of densities asked for.
 
 _NCT_PANELS = 10
 _NCT_HALF_WIDTH = 18.0  # integration window half-width in peak sigmas
+_NCT_STEPS = np.arange(_NCT_PANELS + 1.0)[:, None]  # window edge j is lo + j*step
+_NCT_GRADES = 0.5 ** np.arange(30.0, 0.0, -1.0)[:, None]  # [0, first] split at first/2^k
+_NCT_ROWS = 64  # densities whose meshes are built together
+_NCT_NODES = 4096  # abscissae evaluated together: 32 KiB per temporary
+_NCT_RULE = _GL_NODES[:, None]  # nodes down a column, densities along rows
+_LN_NEGLIGIBLE = -700.0  # a term this far below the peak's cannot move a sum
 
 
-def _nct_panel_edges(t: float, nu: float, mu: float) -> np.ndarray:
-    """Panel edges covering the peak of the conditional-on-chi integrand."""
-    # Peak of L(q): root of nu/q - nu*q - t*(t*q - mu) = 0.
-    disc = t * t * mu * mu + 4.0 * (nu + t * t) * nu
-    q_peak = (t * mu + math.sqrt(disc)) / (2.0 * (nu + t * t))
-    curvature = nu / (q_peak * q_peak) + nu + t * t
-    sigma = 1.0 / math.sqrt(curvature)
-    lo = max(0.0, q_peak - _NCT_HALF_WIDTH * sigma)
-    hi = q_peak + _NCT_HALF_WIDTH * sigma
-
-    edges = set(np.linspace(lo, hi, _NCT_PANELS + 1).tolist())
-    if lo == 0.0 and t * mu < 0.0:
-        # Density mass hugs q = 0 and decays on the scale 1/|t mu|, which can
-        # be far finer (or coarser) than sigma; cover both with a geometric
-        # ladder of panels growing away from the boundary.
-        rate = -t * mu
-        hi = max(hi, 45.0 / rate)
-        h = 0.5 * min(sigma, 1.0 / (1.0 + rate))
-        while h < hi:
-            edges.add(h)
-            h *= 2.0
-        edges.add(hi)
-    edges = sorted(edges)
-    if edges[0] == 0.0:
-        # q^nu has a branch point at q = 0 for non-integer nu; grade the
-        # mesh geometrically toward the origin to keep per-panel integrands
-        # smooth for Gauss-Legendre.
-        first = edges[1]
-        edges = [first * 0.5**k for k in range(30, 0, -1)] + edges[1:]
-        edges.insert(0, 0.0)
-    return np.array(edges)
-
-
-def noncentral_t_logpdf(t: float, nu: float, mu: float) -> float:
-    """Log density of the noncentral t distribution with noncentrality mu."""
-    if not nu > 0:
-        raise DomainError(f"noncentral_t_logpdf requires nu > 0, got {nu}")
-    if mu == 0.0:
-        return central_t_logpdf(t, nu)
-    q, w = _panel_nodes(_nct_panel_edges(t, nu, mu))
-
+def _nct_log_constant(nu: float) -> float:
+    """ln of the factors of the integrand that do not depend on q."""
     ln_norm = (
         0.5 * math.log(nu) - (0.5 * nu - 1.0) * math.log(2.0)
         - math.lgamma(0.5 * nu) - 0.5 * LN_2PI
     )
-    ln_q = np.log(q)  # Gauss-Legendre nodes are interior, so q > 0
-    z = t * q - mu
+    return ln_norm + (nu - 1.0) * 0.5 * math.log(nu)
+
+
+def _nct_graded(edges: np.ndarray) -> np.ndarray:
+    """Meshes starting at q = 0 with their first panel split toward 0.
+
+    q^nu has a branch point at q = 0 for non-integer nu; halving the mesh
+    30 times toward the origin keeps each panel's integrand smooth.
+    """
+    return np.concatenate([edges[:1], edges[1:2] * _NCT_GRADES, edges[1:]])
+
+
+def _nct_rows(t, nu, mu, c) -> np.ndarray:
+    """ln f for one block of densities: mu is a 1-D array, and t, nu and
+    c = _nct_log_constant(nu) are arrays like it or scalars shared by all."""
+    tt = t * t
+    # Peak of L(q): root of nu/q - nu*q - t*(t*q - mu) = 0.
+    disc = tt * mu * mu + 4.0 * (nu + tt) * nu
+    q_peak = (t * mu + np.sqrt(disc)) / (2.0 * (nu + tt))
+    sigma = 1.0 / np.sqrt(nu / (q_peak * q_peak) + nu + tt)
+    lo = np.maximum(q_peak - _NCT_HALF_WIDTH * sigma, 0.0)
+    hi = q_peak + _NCT_HALF_WIDTH * sigma
+    edges = _NCT_STEPS * ((hi - lo) / _NCT_PANELS)  # one mesh per column
+    edges += lo
+    edges[-1] = hi
+    # L at its peak, which every node's value is at most (to rounding); it
+    # is factored out of each density's sum.
+    z = t * q_peak - mu
+    peak = c + nu * np.log(q_peak) - 0.5 * nu * q_peak * q_peak - 0.5 * z * z
+
+    ln_f = np.empty_like(mu)
+
+    def fill(rows, mesh):
+        """ln f for the densities in rows, over the meshes mesh(rows)."""
+        if rows.any():
+            ln_f[rows] = _nct_mesh_sum(
+                mesh(rows), *(a[rows] if np.ndim(a) else a for a in (t, nu, mu, c, peak))
+            )
+
+    def ladder_mesh(rows):
+        # Density mass hugs q = 0 and decays on the scale 1/|t mu|, which can
+        # be far finer (or coarser) than sigma; cover both with a geometric
+        # ladder of edges h, 2h, 4h, ... below top, merged into the window.
+        # Rungs past top are clipped to it and leave empty panels.
+        rate = -(t * mu)[rows]
+        top = np.maximum(hi[rows], 45.0 / rate)
+        h = 0.5 * np.minimum(sigma[rows], 1.0 / (1.0 + rate))
+        doublings = np.arange(np.frexp(top / h)[1].max() + 1)[:, None]
+        rungs = np.minimum(np.ldexp(h, doublings), top)
+        merged = np.concatenate([edges[:, rows], rungs, top[None, :]])
+        merged.sort(axis=0)
+        return _nct_graded(merged)
+
+    graded = lo == 0.0
+    ladder = graded & (t * mu < 0.0)
+    fill(~graded, lambda rows: edges[:, rows])
+    fill(graded & ~ladder, lambda rows: _nct_graded(edges[:, rows]))
+    fill(ladder, ladder_mesh)
+    if not np.all(mu):
+        t, nu = np.broadcast_to(t, mu.shape), np.broadcast_to(nu, mu.shape)
+        for row in np.flatnonzero(mu == 0.0):
+            ln_f[row] = central_t_logpdf(float(t[row]), float(nu[row]))
+    return ln_f
+
+
+def _nct_mesh_sum(mesh, t, nu, mu, c, peak) -> np.ndarray:
+    """ln of the rule's sum of exp(L) for each density, column i of mesh
+    holding the panel edges of density i, about _NCT_NODES nodes at a time."""
+    chunk = max(1, _NCT_NODES // (len(_GL_NODES) * mesh.shape[1]))
+    total = sum(
+        _nct_panel_sums(mesh[p:p + chunk + 1], t, nu, mu, c, peak)
+        for p in range(0, len(mesh) - 1, chunk)
+    )
+    return peak + np.log(total)
+
+
+def _nct_panel_sums(edges, t, nu, mu, c, peak) -> np.ndarray:
+    """sum of w exp(L - peak) over the panels between the rows of edges."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    # nodes q[panel, node, density]; Gauss-Legendre nodes are interior, so q > 0
+    q = half[:, None] * _NCT_RULE
+    q += mid[:, None]
     # ln[ q * f_Q(q) * phi(t q - mu) ] with f_Q the density of chi_nu/sqrt(nu);
     # the leading q is the Jacobian of t -> z = t q - mu.
-    log_f = (
-        ln_norm
-        + (nu - 1.0) * 0.5 * math.log(nu)
-        + nu * ln_q
-        - 0.5 * nu * q * q
-        - 0.5 * z * z
-    )
-    return _log_sum(log_f, w)
+    log_f = np.log(q)
+    log_f *= nu
+    log_f += c
+    term = (0.5 * nu) * q
+    term *= q
+    log_f -= term
+    # Dropping spent arrays keeps at most three node arrays alive, counting
+    # the buffer numpy takes to broadcast mu or peak.
+    del term
+    q *= t
+    q -= mu  # z
+    q *= q  # 0.5 * z * z: halving commutes with rounding
+    q *= 0.5
+    log_f -= q
+    del q
+    log_f -= peak
+    # exp is many times slower where it underflows, so raise the terms
+    # that cannot move the sum to _LN_NEGLIGIBLE first.
+    np.maximum(log_f, _LN_NEGLIGIBLE, out=log_f)
+    np.exp(log_f, out=log_f)
+    sums = _GL_WEIGHTS @ log_f
+    sums *= half
+    return sums.sum(axis=0)
+
+
+def noncentral_t_logpdf(t, nu, mu):
+    """Log density of the noncentral t distribution with noncentrality mu.
+
+    t, nu and mu broadcast together; the result has their broadcast shape,
+    and a scalar call returns a float. mu = 0 gives central_t_logpdf.
+    """
+    t, nu, mu = (np.asarray(a, dtype=float) for a in (t, nu, mu))
+    if not np.all(nu > 0):
+        raise DomainError(
+            f"noncentral_t_logpdf requires nu > 0, got {float(nu[~(nu > 0)][0])}"
+        )
+    c = np.array([_nct_log_constant(v) for v in nu.ravel().tolist()]).reshape(nu.shape)
+    shape = np.broadcast_shapes(t.shape, nu.shape, mu.shape)
+    t_nu_shape = np.broadcast_shapes(t.shape, nu.shape)
+    # In C order, runs of `run` densities share t and nu: the trailing axes
+    # along which only mu varies. A block within one run takes t, nu and c
+    # as scalars, which costs less; runs shorter than a quarter block are
+    # not worth cutting at, and blocks then take them as arrays.
+    run = 1
+    for size, t_nu_size in zip(shape[::-1], t_nu_shape[::-1] + (1,) * len(shape)):
+        if t_nu_size != 1:
+            break
+        run *= size
+    t, nu, mu, c = (np.broadcast_to(a, shape).flat for a in (t, nu, mu, c))
+    ln_f = np.empty(shape)
+    out = ln_f.reshape(-1)
+    shared = run >= _NCT_ROWS // 4 or run == out.size
+    span = run if shared else out.size
+    for start in range(0, out.size, max(span, 1)):
+        for i in range(start, start + span, _NCT_ROWS):
+            block = slice(i, min(i + _NCT_ROWS, start + span))
+            if shared:
+                out[block] = _nct_rows(t[i], nu[i], mu[block], c[i])
+            else:
+                out[block] = _nct_rows(t[block], nu[block], mu[block], c[block])
+    return _scalar_or_array(ln_f)
 
 
 # ---------------------------------------------------------------------------
 # Cauchy density
 # ---------------------------------------------------------------------------
 
-def cauchy_logpdf(x: float, scale: float) -> float:
-    """Log density of the zero-centered Cauchy distribution."""
+def cauchy_logpdf(x, scale: float):
+    """Log density of the zero-centered Cauchy distribution; x may be an
+    array, and a scalar x gives a float."""
     if not scale > 0:
         raise DomainError(f"cauchy_logpdf requires scale > 0, got {scale}")
-    u = x / scale
-    return -math.log(math.pi * scale) - math.log1p(u * u)
+    u = np.asarray(x, dtype=float) / scale
+    return _scalar_or_array(-math.log(math.pi * scale) - np.log1p(u * u))
 
 
 # ---------------------------------------------------------------------------

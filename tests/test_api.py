@@ -8,6 +8,9 @@ tests must not come back.
 
 import dataclasses
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +79,24 @@ def test_gauss_kronrod_domains_are_gone(name):
 def test_test_only_wrappers_are_gone(name):
     for module in (trialbayes, engine, meta, numerics):
         assert not hasattr(module, name)
+
+
+def _numpy_modules_after(statement):
+    """The numpy modules a fresh interpreter holds after `statement`."""
+    src = str(Path(trialbayes.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); {statement}; "
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_import_loads_no_polynomial_or_linear_algebra():
+    # The Gauss-Legendre table is written out, so nothing computes it at
+    # import time. numpy itself may load numpy.linalg (numpy 2.x does, for
+    # numpy.matrixlib); importing trialbayes must load nothing beyond that.
+    loaded = _numpy_modules_after("import trialbayes")
+    assert "numpy.polynomial" not in loaded
+    assert loaded <= _numpy_modules_after("import numpy")

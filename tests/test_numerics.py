@@ -10,6 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trialbayes import numerics
 from trialbayes.numerics import (
     DomainError,
     NonConvergenceError,
@@ -276,6 +277,45 @@ class TestNoncentralTPdf:
     def test_domain(self):
         with pytest.raises(DomainError):
             noncentral_t_logpdf(1.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="got -1.0"):
+            noncentral_t_logpdf([1.0, 2.0], [3.0, -1.0], 1.0)
+        with pytest.raises(DomainError):
+            noncentral_t_logpdf(1.0, np.array([[5.0], [0.0]]), [0.5, 1.0])
+
+
+class TestNoncentralTBroadcast:
+    """One call over arrays equals one call per element."""
+
+    def test_scalar_in_float_out(self):
+        assert type(noncentral_t_logpdf(2.52, 1092.0, 2.5)) is float
+        assert type(noncentral_t_logpdf(np.float64(0.3), 22, -0.4)) is float
+
+    def test_shapes_broadcast(self):
+        t = np.array([[0.3], [2.0], [-1.0]])
+        assert noncentral_t_logpdf(t, [5.0, 500.0], 1.2).shape == (3, 2)
+        assert noncentral_t_logpdf(t, 5.0, np.zeros((4, 3, 1))).shape == (4, 3, 1)
+        assert noncentral_t_logpdf([], 5.0, 1.0).shape == (0,)
+
+    def test_matches_elementwise_calls(self):
+        # rows of (t, nu) against columns of mu, and a fully elementwise
+        # call, over regular, graded, ladder and mu = 0 meshes
+        rng = np.random.default_rng(11)
+        t = rng.uniform(-10.0, 40.0, (6, 1))
+        nu = np.exp(rng.uniform(0.0, math.log(4e4), (6, 1)))
+        mu = np.concatenate([rng.uniform(-30.0, 60.0, 70), [0.0, -1e-3, 1e-3]])
+        grid = noncentral_t_logpdf(t, nu, mu)
+        flat = noncentral_t_logpdf(*np.broadcast_arrays(t, nu, mu))
+        for i, j in np.ndindex(grid.shape):
+            one = noncentral_t_logpdf(float(t[i, 0]), float(nu[i, 0]), float(mu[j]))
+            assert grid[i, j] == pytest.approx(one, rel=1e-14, abs=0.0)
+            assert flat[i, j] == pytest.approx(one, rel=1e-14, abs=0.0)
+
+
+class TestGaussLegendreTable:
+    def test_literal_table_is_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        assert numerics._GL_NODES.tobytes() == nodes.tobytes()
+        assert numerics._GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 class TestCauchyPdf:
