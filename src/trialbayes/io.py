@@ -22,12 +22,13 @@ from .engine import (
     TWO_SAMPLE_EQUAL_ARMS,
     AnalysisConfig,
     BayesFactorResult,
+    InternalConsistencyError,
     StudyRecord,
     analyze_study,
     summarize,
 )
 from .meta import MetaInput, MetaResult, meta_bf
-from .numerics import DomainError
+from .numerics import DomainError, NonConvergenceError
 
 __all__ = [
     "DatasetError",
@@ -267,7 +268,9 @@ def run_reanalysis(
     for record in dataset.records:
         try:
             result = analyze_study(record, config)
-        except Exception as exc:
+        except (DomainError, NonConvergenceError, InternalConsistencyError) as exc:
+            # the package's own one-message errors gain the record's name;
+            # anything else propagates as it was raised
             raise type(exc)(f"{record.trial}/{record.arm}: {exc}") from exc
         studies.append(StudyResult(record=record, result=result))
     return Report(

@@ -7,7 +7,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from trialbayes.engine import AnalysisConfig, StudyRecord, analyze_study
+import trialbayes.io
+from trialbayes.engine import (
+    AnalysisConfig,
+    InternalConsistencyError,
+    StudyRecord,
+    analyze_study,
+)
 from trialbayes.io import (
     ADUCANUMAB_META_GROUPS,
     Dataset,
@@ -19,6 +25,7 @@ from trialbayes.io import (
     render_report,
     run_reanalysis,
 )
+from trialbayes.numerics import DomainError, NonConvergenceError
 
 GOOD_CSV = (
     "trial,arm,n,p,t,design\n"
@@ -179,6 +186,33 @@ class TestRunReanalysis:
     def test_empty_group(self):
         with pytest.raises(DatasetError, match="empty"):
             run_reanalysis(load_bundled_dataset(), AnalysisConfig(), {"x": []})
+
+    @pytest.mark.parametrize(
+        "error", [DomainError, NonConvergenceError, InternalConsistencyError]
+    )
+    def test_own_errors_name_the_record(self, monkeypatch, error):
+        def fail(record, config):
+            raise error("no answer")
+
+        monkeypatch.setattr(trialbayes.io, "analyze_study", fail)
+        with pytest.raises(error, match="^EMERGE/low: no answer$") as caught:
+            run_reanalysis(load_bundled_dataset())
+        assert type(caught.value) is error
+        assert type(caught.value.__cause__) is error
+
+    def test_other_errors_propagate_unchanged(self, monkeypatch):
+        # UnicodeDecodeError's constructor takes five arguments, so
+        # re-raising it with one message would raise a TypeError instead
+        raised = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+        def fail(record, config):
+            raise raised
+
+        monkeypatch.setattr(trialbayes.io, "analyze_study", fail)
+        with pytest.raises(UnicodeDecodeError) as caught:
+            run_reanalysis(load_bundled_dataset())
+        assert caught.value is raised
+        assert (caught.value.start, caught.value.reason) == (0, "invalid start byte")
 
 
 class TestRenderReport:
