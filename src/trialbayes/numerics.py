@@ -262,7 +262,7 @@ _NCT_STEPS = np.arange(_NCT_PANELS + 1.0)[:, None]  # window edge j is lo + j*st
 _NCT_GRADES = 0.5 ** np.arange(30.0, 0.0, -1.0)[:, None]  # [0, first] split at first/2^k
 _NCT_ROWS = 64  # densities whose meshes are built together
 _NCT_NODES = 4096  # abscissae evaluated together: 32 KiB per temporary
-_NCT_RULE = _GL_NODES[:, None]  # nodes down a column, densities along rows
+_NCT_RULE = _GL_NODES[:, None]  # axis 1 of the (panel, node, density) arrays
 _LN_NEGLIGIBLE = -700.0  # a term this far below the peak's cannot move a sum
 
 
@@ -356,7 +356,9 @@ def _nct_panel_sums(edges, t, nu, mu, c, peak) -> np.ndarray:
     q = half[:, None] * _NCT_RULE
     q += mid[:, None]
     # ln[ q * f_Q(q) * phi(t q - mu) ] with f_Q the density of chi_nu/sqrt(nu);
-    # the leading q is the Jacobian of t -> z = t q - mu.
+    # the leading q is the Jacobian of t -> z = t q - mu. Keep the order of
+    # the operations: at large nu the terms cancel from about nu down to 1,
+    # so reordering them moves ln f by ~nu * 1e-16 (tests pin it to 1e-13).
     log_f = np.log(q)
     log_f *= nu
     log_f += c
@@ -393,6 +395,7 @@ def noncentral_t_logpdf(t, nu, mu):
         raise DomainError(
             f"noncentral_t_logpdf requires nu > 0, got {float(nu[~(nu > 0)][0])}"
         )
+    # math.lgamma has no numpy form; nu usually holds one value per study
     c = np.array([_nct_log_constant(v) for v in nu.ravel().tolist()]).reshape(nu.shape)
     shape = np.broadcast_shapes(t.shape, nu.shape, mu.shape)
     t_nu_shape = np.broadcast_shapes(t.shape, nu.shape)
