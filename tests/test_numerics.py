@@ -173,46 +173,46 @@ class TestCentralTPdf:
 # builds: regular panels, panels graded toward q = 0, graded panels plus the
 # geometric ladder for t * mu < 0, or the central shortcut for mu = 0.
 _PINNED_NCT = [
-    (2.52, 1092.0, 2.5, '-0x1.d7770567b6c64p-1'),  # regular
-    (0.3, 22.0, -0.4, '-0x1.2d9f2ea83ee43p+0'),  # ladder
-    (-3.0, 1.0, 0.0, '-0x1.b9419e02925f5p+1'),  # central
-    (1.7, 40000.0, 0.0, '-0x1.2e95374732b5ap+1'),  # central
-    (634.0, 1.0, 600.0, '-0x1.cb91c688ed2ffp+2'),  # regular
-    (1.0, 100.0, 80.0, '-0x1.83f88d8a305e6p+11'),  # graded
-    (-10.0, 5.0, 3.0, '-0x1.3d6bd8658d992p+4'),  # ladder
-    (8.0, 1.0, -5.0, '-0x1.5216626544e93p+4'),  # ladder
-    (2.0, 40000.0, 1.5, '-0x1.0b419a88f1f4cp+0'),  # regular
-    (0.4, 1.0, -1.1, '-0x1.302af34de30eep+1'),  # ladder
-    (40.0, 9998.0, 39.0, '-0x1.6bd970d573a64p+0'),  # regular
-    (-2.0, 150.0, 3.0, '-0x1.a8fe4ffb603fcp+3'),  # ladder
-    (0.05, 3.0, -0.02, '-0x1.00fba362b6e24p+0'),  # ladder
-    (0.001, 12.0, -0.5, '-0x1.10b4d05b1735cp+0'),  # ladder
-    (1.5, 160.0, 0.1, '-0x1.e682199c738e2p+0'),  # graded
-    (0.0446, 8768.48, 47.717, '-0x1.1c4fd94f04d36p+10'),  # regular
-    (17.2508, 204.991, -10.1275, '-0x1.e4f4a51165900p+7'),  # regular
-    (3.6322, 1.81, 46.574, '-0x1.fd195eba8e033p+6'),  # regular
-    (16.9838, 7.154, -8.4379, '-0x1.02b4d34387e1fp+6'),  # ladder
-    (34.8806, 4686.301, 22.9776, '-0x1.fe5971273086dp+5'),  # regular
-    (20.3451, 18624.359, 48.8134, '-0x1.91a9b42b448c7p+8'),  # regular
-    (34.0237, 202.899, 0.0, '-0x1.85d75d39d2ba9p+7'),  # central
-    (14.2591, 14703.997, 20.0729, '-0x1.1b47ab8adfa27p+4'),  # regular
-    (29.2785, 1481.484, 53.0431, '-0x1.b23b6e685df13p+7'),  # regular
-    (-8.3894, 411.542, 34.1488, '-0x1.a5b33915ec592p+9'),  # regular
-    (-5.1344, 14202.568, 0.0, '-0x1.c2d69b7548bd8p+3'),  # central
-    (25.176, 52.767, -19.581, '-0x1.5673458916149p+8'),  # ladder
-    (31.9039, 56.136, -28.0475, '-0x1.231f8899f04e7p+9'),  # ladder
-    (-4.8593, 5.161, -14.9071, '-0x1.bfac776dcde89p+3'),  # graded
-    (9.7539, 43.798, -6.8156, '-0x1.42ecaf3b1fd30p+6'),  # ladder
-    (19.9388, 55.9, -14.5126, '-0x1.d4cc99f5ccde8p+7'),  # ladder
-    (6.5024, 28.294, 5.3255, '-0x1.a157ff5264bfdp+0'),  # graded
-    (18.0963, 8.527, 14.9207, '-0x1.5b0f55ac94690p+1'),  # graded
-    (0.3883, 24.975, 56.1136, '-0x1.8305e3f08fa2cp+10'),  # graded
-    (0.2466, 1.176, 31.465, '-0x1.d4aa1afd55db6p+8'),  # graded
-    (0.1551, 17.416, 9.0472, '-0x1.435e97dd83fe6p+5'),  # graded
-    (4.1116, 6.756, 15.4674, '-0x1.935f1b0412a3ep+4'),  # graded
-    (26.7333, 4.729, 11.6817, '-0x1.458932b4c319bp+2'),  # graded
-    (35.9629, 44.255, 6.4184, '-0x1.6806abcb6f6a2p+5'),  # graded
-    (-4.5083, 18.694, -12.4877, '-0x1.464f6a83177c1p+4'),  # graded
+    (2.52, 1092.0, 2.5, "-0x1.d7770567b6c64p-1"),  # regular
+    (0.3, 22.0, -0.4, "-0x1.2d9f2ea83ee43p+0"),  # ladder
+    (-3.0, 1.0, 0.0, "-0x1.b9419e02925f5p+1"),  # central
+    (1.7, 40000.0, 0.0, "-0x1.2e95374732b5ap+1"),  # central
+    (634.0, 1.0, 600.0, "-0x1.cb91c688ed2ffp+2"),  # regular
+    (1.0, 100.0, 80.0, "-0x1.83f88d8a305e6p+11"),  # graded
+    (-10.0, 5.0, 3.0, "-0x1.3d6bd8658d992p+4"),  # ladder
+    (8.0, 1.0, -5.0, "-0x1.5216626544e93p+4"),  # ladder
+    (2.0, 40000.0, 1.5, "-0x1.0b419a88f1f4cp+0"),  # regular
+    (0.4, 1.0, -1.1, "-0x1.302af34de30eep+1"),  # ladder
+    (40.0, 9998.0, 39.0, "-0x1.6bd970d573a64p+0"),  # regular
+    (-2.0, 150.0, 3.0, "-0x1.a8fe4ffb603fcp+3"),  # ladder
+    (0.05, 3.0, -0.02, "-0x1.00fba362b6e24p+0"),  # ladder
+    (0.001, 12.0, -0.5, "-0x1.10b4d05b1735cp+0"),  # ladder
+    (1.5, 160.0, 0.1, "-0x1.e682199c738e2p+0"),  # graded
+    (0.0446, 8768.48, 47.717, "-0x1.1c4fd94f04d36p+10"),  # regular
+    (17.2508, 204.991, -10.1275, "-0x1.e4f4a51165900p+7"),  # regular
+    (3.6322, 1.81, 46.574, "-0x1.fd195eba8e033p+6"),  # regular
+    (16.9838, 7.154, -8.4379, "-0x1.02b4d34387e1fp+6"),  # ladder
+    (34.8806, 4686.301, 22.9776, "-0x1.fe5971273086dp+5"),  # regular
+    (20.3451, 18624.359, 48.8134, "-0x1.91a9b42b448c7p+8"),  # regular
+    (34.0237, 202.899, 0.0, "-0x1.85d75d39d2ba9p+7"),  # central
+    (14.2591, 14703.997, 20.0729, "-0x1.1b47ab8adfa27p+4"),  # regular
+    (29.2785, 1481.484, 53.0431, "-0x1.b23b6e685df13p+7"),  # regular
+    (-8.3894, 411.542, 34.1488, "-0x1.a5b33915ec592p+9"),  # regular
+    (-5.1344, 14202.568, 0.0, "-0x1.c2d69b7548bd8p+3"),  # central
+    (25.176, 52.767, -19.581, "-0x1.5673458916149p+8"),  # ladder
+    (31.9039, 56.136, -28.0475, "-0x1.231f8899f04e7p+9"),  # ladder
+    (-4.8593, 5.161, -14.9071, "-0x1.bfac776dcde89p+3"),  # graded
+    (9.7539, 43.798, -6.8156, "-0x1.42ecaf3b1fd30p+6"),  # ladder
+    (19.9388, 55.9, -14.5126, "-0x1.d4cc99f5ccde8p+7"),  # ladder
+    (6.5024, 28.294, 5.3255, "-0x1.a157ff5264bfdp+0"),  # graded
+    (18.0963, 8.527, 14.9207, "-0x1.5b0f55ac94690p+1"),  # graded
+    (0.3883, 24.975, 56.1136, "-0x1.8305e3f08fa2cp+10"),  # graded
+    (0.2466, 1.176, 31.465, "-0x1.d4aa1afd55db6p+8"),  # graded
+    (0.1551, 17.416, 9.0472, "-0x1.435e97dd83fe6p+5"),  # graded
+    (4.1116, 6.756, 15.4674, "-0x1.935f1b0412a3ep+4"),  # graded
+    (26.7333, 4.729, 11.6817, "-0x1.458932b4c319bp+2"),  # graded
+    (35.9629, 44.255, 6.4184, "-0x1.6806abcb6f6a2p+5"),  # graded
+    (-4.5083, 18.694, -12.4877, "-0x1.464f6a83177c1p+4"),  # graded
 ]
 
 
