@@ -284,9 +284,9 @@ def _nct_graded(edges: np.ndarray) -> np.ndarray:
     return np.concatenate([edges[:1], edges[1:2] * _NCT_GRADES, edges[1:]])
 
 
-def _nct_rows(t, nu, mu, c) -> np.ndarray:
-    """ln f for one block of densities: mu is a 1-D array, and t, nu and
-    c = _nct_log_constant(nu) are arrays like it or scalars shared by all."""
+def _nct_rows(t: float, nu: float, mu: np.ndarray, c: float) -> np.ndarray:
+    """ln f for one block of densities that share t, nu and
+    c = _nct_log_constant(nu) and differ in the 1-D array mu."""
     tt = t * t
     # Peak of L(q): root of nu/q - nu*q - t*(t*q - mu) = 0.
     disc = tt * mu * mu + 4.0 * (nu + tt) * nu
@@ -307,9 +307,7 @@ def _nct_rows(t, nu, mu, c) -> np.ndarray:
     def fill(rows, mesh):
         """ln f for the densities in rows, over the meshes mesh(rows)."""
         if rows.any():
-            ln_f[rows] = _nct_mesh_sum(
-                mesh(rows), *(a[rows] if np.ndim(a) else a for a in (t, nu, mu, c, peak))
-            )
+            ln_f[rows] = _nct_mesh_sum(mesh(rows), t, nu, mu[rows], c, peak[rows])
 
     def ladder_mesh(rows):
         # Density mass hugs q = 0 and decays on the scale 1/|t mu|, which can
@@ -331,9 +329,7 @@ def _nct_rows(t, nu, mu, c) -> np.ndarray:
     fill(graded & ~ladder, lambda rows: _nct_graded(edges[:, rows]))
     fill(ladder, ladder_mesh)
     if not np.all(mu):
-        t, nu = np.broadcast_to(t, mu.shape), np.broadcast_to(nu, mu.shape)
-        for row in np.flatnonzero(mu == 0.0):
-            ln_f[row] = central_t_logpdf(float(t[row]), float(nu[row]))
+        ln_f[mu == 0.0] = central_t_logpdf(t, nu)
     return ln_f
 
 
@@ -400,9 +396,8 @@ def noncentral_t_logpdf(t, nu, mu):
     shape = np.broadcast_shapes(t.shape, nu.shape, mu.shape)
     t_nu_shape = np.broadcast_shapes(t.shape, nu.shape)
     # In C order, runs of `run` densities share t and nu: the trailing axes
-    # along which only mu varies. A block within one run takes t, nu and c
-    # as scalars, which costs less; runs shorter than a quarter block are
-    # not worth cutting at, and blocks then take them as arrays.
+    # along which only mu varies. Each run is evaluated in blocks of at most
+    # _NCT_ROWS densities; an element-wise call has runs of one.
     run = 1
     for size, t_nu_size in zip(shape[::-1], t_nu_shape[::-1] + (1,) * len(shape)):
         if t_nu_size != 1:
@@ -411,15 +406,11 @@ def noncentral_t_logpdf(t, nu, mu):
     t, nu, mu, c = (np.broadcast_to(a, shape).flat for a in (t, nu, mu, c))
     ln_f = np.empty(shape)
     out = ln_f.reshape(-1)
-    shared = run >= _NCT_ROWS // 4 or run == out.size
-    span = run if shared else out.size
-    for start in range(0, out.size, max(span, 1)):
-        for i in range(start, start + span, _NCT_ROWS):
-            block = slice(i, min(i + _NCT_ROWS, start + span))
-            if shared:
-                out[block] = _nct_rows(t[i], nu[i], mu[block], c[i])
-            else:
-                out[block] = _nct_rows(t[block], nu[block], mu[block], c[block])
+    for start in range(0, out.size, max(run, 1)):
+        shared = float(t[start]), float(nu[start])
+        for i in range(start, start + run, _NCT_ROWS):
+            block = slice(i, min(i + _NCT_ROWS, start + run))
+            out[block] = _nct_rows(*shared, mu[block], float(c[start]))
     return _scalar_or_array(ln_f)
 
 
