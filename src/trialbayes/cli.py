@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetError, DomainError, OverflowError, OSError) as exc:
+    except (DatasetError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NonConvergenceError, InternalConsistencyError) as exc:

@@ -58,6 +58,10 @@ ONE_SIDED = "one_sided"
 DEFAULT_CAUCHY_SCALE = math.sqrt(2.0) / 2.0
 
 QUADRATURE_REL_TOL = 1e-8  # every Bayes factor integral, in ln
+# The g-form's window ends lie this far below the integrand's peak: past
+# integrate's own 36, so that its outermost nodes, which lie inside the
+# window, clear that drop and it takes no widening step.
+_G_WINDOW_DROP = 40.0
 
 _LN_MAX_DOUBLE = math.log(sys.float_info.max)  # ln BF beyond +-this has no float
 
@@ -177,18 +181,23 @@ class BayesFactorResult:
 
 
 def t_from_p(p: float, nu: float, sidedness: str = TWO_SIDED) -> float:
-    """Recover the (nonnegative) t statistic from a published p-value."""
+    """Recover the (nonnegative) t statistic from a published p-value.
+
+    The quantile is taken of the tail probability p/2 (two-sided) or p
+    (one-sided) itself, never of 1 - p/2, so any p whose tail probability
+    is a positive double inverts.
+    """
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p}")
     if sidedness == TWO_SIDED:
-        q = 1.0 - p / 2.0
+        tail = p / 2.0
     elif sidedness == ONE_SIDED:
-        q = 1.0 - p
+        tail = p
     else:
         raise DomainError(f"unknown sidedness {sidedness!r}")
-    if q == 1.0:
-        raise DomainError(f"p={p} too small to invert in double precision")
-    return max(student_t_quantile(q, nu), 0.0)
+    if tail == 0.0:
+        raise DomainError(f"p={p} too small to invert: p/2 underflows to 0")
+    return max(0.0, -student_t_quantile(tail, nu))
 
 
 def summarize(record: StudyRecord, config: AnalysisConfig = AnalysisConfig()) -> TTestSummary:
@@ -227,25 +236,73 @@ def summarize(record: StudyRecord, config: AnalysisConfig = AnalysisConfig()) ->
 def jzs_bf_g_form(
     t: float, summary: TTestSummary, r: float = DEFAULT_CAUCHY_SCALE
 ) -> float:
-    """B01 via the JZS integral over the prior mixing variance g, in x = ln g."""
+    """B01 via the JZS integral over the prior mixing variance g.
+
+    In x = ln g the integrand exp(h(x)) has a peak of about unit width, a
+    doubly exponential fall below it and an e^-x tail above it. It is
+    integrated in y with x = x0 + 2 sinh(y / 2), x0 the peak, which leaves
+    the peak as it is and makes the upper tail doubly exponential too; the
+    window spans where h lies within _G_WINDOW_DROP of its peak.
+    """
     if not r > 0:
         raise DomainError(f"prior scale r must be > 0, got {r}")
     nu, n_eff = summary.nu_bf, summary.n_eff
+    k = t * t / nu
+    b = 0.5 * (nu + 1.0) * k
     c = math.log(r) - 0.5 * LN_2PI
-    half_r2 = 0.5 * r * r
+    ln_n, ln_half_r2 = math.log(n_eff), 2.0 * math.log(r) - math.log(2.0)
 
-    def log_f(xs):
-        shrinks = 1.0 + n_eff * np.exp(xs)
+    def log_f(ys):
+        half = 0.5 * ys
+        xs = x0 + 2.0 * np.sinh(half)
+        ln_shrinks = np.logaddexp(0.0, ln_n + xs)  # ln(1 + n_eff g)
+        # e^(ln r^2/2 - x) is capped at e^700, where exp(h) is already 0
+        prior = np.exp(np.minimum(ln_half_r2 - xs, 700.0))
         return (
-            -0.5 * np.log(shrinks) - 0.5 * (nu + 1.0) * np.log1p(t * t / (shrinks * nu))
-            + c - 0.5 * xs - half_r2 * np.exp(-xs)
+            -0.5 * ln_shrinks - 0.5 * (nu + 1.0) * np.log1p(k * np.exp(-ln_shrinks))
+            + c - 0.5 * xs - prior + np.log(np.cosh(half))
         )
 
-    # Near its peak the integrand is about exp(-x - (r^2 + t^2/n_eff) e^-x / 2),
-    # which peaks at that e^x and has unit width; above it, it falls like
-    # e^-x, and integrate widens the window on that side.
-    marginal = integrate(log_f, math.log(0.5 * (r * r + t * t / n_eff)), 0.5,
-                         QUADRATURE_REL_TOL)
+    def slope_and_curvature(x):
+        """h'(x) and h''(x), with m = n_eff g, s = 1 + m, u = m / s and
+        e = (r^2 / 2) e^-x, in a form that no m below e^700 overflows."""
+        m, e = math.exp(ln_n + x), math.exp(ln_half_r2 - x)
+        s = 1.0 + m
+        u = m / s
+        slope = e - 0.5 - 0.5 * u + b * u / (s + k)
+        bend = ((1.0 + k) / (s * s) - u * u) / ((s + k) * (1.0 + k / s))
+        return slope, -e - 0.5 * u / s + b * u * bend
+
+    # The peak: Newton on h' = 0 from the large-sample peak, where
+    # e^x = (r^2 + t^2 / n_eff) / 2, kept inside a bracket that starts where
+    # the exponentials are at most e^700 and falls back to bisection. An
+    # inexact peak costs evaluations, not accuracy.
+    spread = r * r + t * t / n_eff
+    if spread == math.inf:
+        raise DomainError(f"r^2 + t^2 / n_eff overflows a double: r={r!r}, t={t!r}")
+    lo, hi = ln_half_r2 - 700.0, 700.0 - ln_n
+    x0 = min(max(math.log(0.5 * spread) if spread > 0.0 else lo, lo), hi)
+    for _ in range(100):
+        slope, curvature = slope_and_curvature(x0)
+        if slope > 0.0:
+            lo = x0
+        else:
+            hi = x0
+        x1 = x0 - slope / curvature if curvature < 0.0 else math.nan
+        if not lo <= x1 <= hi:
+            x1 = 0.5 * (lo + hi)
+        x0, step = x1, x1 - x0
+        if abs(step) < 1e-2:
+            break
+    # Going d below the peak, the prior term falls by e (e^d - 1) and the rest
+    # of h rises by at most d; above it, h falls by about d/2 while
+    # n_eff g < 1 and by about d after that.
+    e = math.exp(max(ln_half_r2 - x0, -690.0))  # > 0, so the window is finite
+    below = math.log1p(_G_WINDOW_DROP / e)
+    below = math.log1p((_G_WINDOW_DROP + below) / e)
+    above = _G_WINDOW_DROP + 1.0 + max(0.0, -(ln_n + x0))
+    lo, hi = -2.0 * math.asinh(0.5 * below), 2.0 * math.asinh(0.5 * above)
+    marginal = integrate(log_f, 0.5 * (lo + hi), (hi - lo) / 18.0, QUADRATURE_REL_TOL)
     ln_null = -0.5 * (nu + 1.0) * math.log1p(t * t / nu)
     return _bf_from_ln(ln_null - marginal.ln_value)
 

@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 LN_2PI = math.log(2.0 * math.pi)
+_LN_PI = math.log(math.pi)
+_LN_2 = math.log(2.0)
+_LN_MAX_DOUBLE = math.log(1.7976931348623157e308)
+_QUANTILE_STEPS = 40  # Halley steps from the start; a handful are used
+_MAX_LN_STEP = 50.0  # a longer step in ln t is cut to this length
 
 
 class DomainError(ValueError):
@@ -117,14 +122,87 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
 # Student t distribution
 # ---------------------------------------------------------------------------
 
+def _ln_gamma_half_ratio(a: float) -> float:
+    """ln Gamma(a + 1/2) - ln Gamma(a).
+
+    Each lgamma is about a ln a, so their difference loses ~a ln a ulps; from
+    a = 20 on the asymptotic series (Bernoulli-polynomial expansion) replaces
+    it, and its first omitted term, ~a^-11, is below 1e-16 there.
+    """
+    if a < 20.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    v = 1.0 / (a * a)
+    series = 1 / 8 - v * (1 / 192 - v * (1 / 640 - v * (17 / 14336 - v * (31 / 18432))))
+    return 0.5 * math.log(a) - series / a
+
+
+def _ln_beta_tail_large_a(a: float, ln_1pw: float, ln_gamma_ratio: float) -> float:
+    """ln I_x(a, 1/2) at x = 1 / (1 + w) for a >= 15 and x > 1/2.
+
+    The asymptotic expansion BGRAT of Didonato & Morris (1992, ACM TOMS
+    18:360) with b = 1/2: the leading term is the normal tail
+    erfc(sqrt(z)), z = (a - 1/4) ln(1 + w), and the corrections fall like
+    a^-2n. Near the mean of Beta(a, 1/2), where it is used, the continued
+    fraction cancels and loses up to ~1e-12 relative at a ~ 5e4.
+    ln_gamma_ratio is _ln_gamma_half_ratio(a).
+    """
+    big = a - 0.25
+    z = big * ln_1pw
+    root_z = math.sqrt(z)
+    ln_scale = -z + 0.5 * math.log(z / big) - 0.5 * _LN_PI + ln_gamma_ratio
+    j = math.erfc(root_z) * math.exp(z) * math.sqrt(math.pi) / root_z
+    total = j
+    v = 0.25 / (big * big)
+    t2 = 0.25 * ln_1pw * ln_1pw
+    power, c_n, n2 = 1.0, 1.0, 0.0
+    c, d = [], []
+    for n in range(1, 31):
+        bp2n = 0.5 + n2
+        j = (bp2n * (bp2n + 1.0) * j + (z + bp2n + 1.0) * power) * v
+        n2 += 2.0
+        power *= t2
+        c_n /= n2 * (n2 + 1.0)
+        c.append(c_n)
+        s = sum((0.5 * (i + 1) - n) * c[i] * d[n - i - 2] for i in range(n - 1))
+        d.append(-0.5 * c_n + s / n)
+        total += d[-1] * j
+        if abs(d[-1] * j) <= 1e-16 * total:
+            break
+    return ln_scale + math.log(total)
+
+
+def _t_probabilities(t: float, nu: float) -> tuple[float, float, float]:
+    """(ln P(T > t), ln P(0 < T < t), ln t f(t)) for t > 0, f the t density.
+
+    P(T > t) = I_x(nu/2, 1/2) / 2 at x = nu / (nu + t^2), and the front
+    x^a (1-x)^(1/2) / B(a, 1/2) of the incomplete beta function is t f(t).
+    All three stay in log space, so tails far below the smallest double keep
+    their full relative precision, and whichever of the two probabilities
+    is the smaller is computed directly rather than as 1/2 minus the other.
+    """
+    a = 0.5 * nu
+    w = t * t / nu  # x = 1 / (1 + w) and 1 - x = w / (1 + w)
+    ln_1pw = math.log1p(w) if w < math.inf else 2.0 * math.log(t) - math.log(nu)
+    ln_1mx = -math.log1p(1.0 / w) if w > 1.0 else math.log(w) - ln_1pw
+    ln_gamma_ratio = _ln_gamma_half_ratio(a)
+    ln_front = ln_gamma_ratio - 0.5 * _LN_PI - a * ln_1pw + 0.5 * ln_1mx
+    if w <= 1.5 / (a + 1.0):  # reg_inc_beta's switch: x >= (a + 1) / (a + 5/2)
+        central = 2.0 * math.exp(ln_front) * _beta_cf(0.5, a, w / (1.0 + w))
+        return math.log1p(-central) - _LN_2, math.log(central) - _LN_2, ln_front
+    if a >= 15.0 and w < 1.0 and a * ln_1pw < 600.0:  # erfc(sqrt(z)) > 1e-262
+        ln_tail = _ln_beta_tail_large_a(a, ln_1pw, ln_gamma_ratio) - _LN_2
+    else:
+        ln_tail = ln_front + math.log(_beta_cf(a, 0.5, 1.0 / (1.0 + w)) / a) - _LN_2
+    return ln_tail, math.log1p(-2.0 * math.exp(ln_tail)) - _LN_2, ln_front
+
+
 def student_t_cdf(t: float, nu: float) -> float:
     """CDF of the central Student t distribution with nu > 0 df."""
     if not nu > 0:
         raise DomainError(f"student_t_cdf requires nu > 0, got {nu}")
     if t == 0.0:
         return 0.5
-    x = nu / (nu + t * t)
-    tail = 0.5 * reg_inc_beta(0.5 * nu, 0.5, x)
+    tail = math.exp(_t_probabilities(abs(t), nu)[0])
     return tail if t < 0.0 else 1.0 - tail
 
 
@@ -143,11 +221,47 @@ def central_t_pdf(t: float, nu: float) -> float:
     return math.exp(central_t_logpdf(t, nu))
 
 
+def _normal_tail_quantile(ln_p: float) -> float:
+    """z with upper normal tail p <= 1/2, from ln p to |error| < 4.5e-4
+    (Abramowitz & Stegun 26.2.23)."""
+    s = math.sqrt(-2.0 * ln_p)
+    return s - (2.515517 + s * (0.802853 + s * 0.010328)) / (
+        1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
+
+
+def _t_tail_start(ln_p: float, p: float, nu: float) -> float:
+    """ln of a first guess at the t with P(T > t) = p < 1/2.
+
+    Hill's (1970, Comm. ACM 13:619) Cornish-Fisher expansion of the normal
+    quantile in 1/nu, clamped between two bounds on t: the density f is
+    largest at 0, so t >= (1/2 - p) / f(0), and P(T > t) lies below its
+    t^-nu tail asymptote, so t is at most where that asymptote equals p.
+    The upper bound is the better guess where the expansion fails: small nu
+    and tiny p.
+    """
+    z = _normal_tail_quantile(ln_p)
+    zz = z * z
+    g1 = (zz + 1.0) * z / 4.0
+    g2 = ((5.0 * zz + 16.0) * zz + 3.0) * z / 96.0
+    g3 = (((3.0 * zz + 19.0) * zz + 17.0) * zz - 15.0) * z / 384.0
+    g4 = ((((79.0 * zz + 776.0) * zz + 1482.0) * zz - 1920.0) * zz - 945.0) * z / 92160.0
+    t = z + (g1 + (g2 + (g3 + g4 / nu) / nu) / nu) / nu
+    ln_nu = math.log(nu)
+    ln_f0 = _ln_gamma_half_ratio(0.5 * nu) - 0.5 * (_LN_PI + ln_nu)
+    ln_lower = math.log(0.5 - p) - ln_f0
+    ln_upper = (ln_f0 + 0.5 * (nu + 1.0) * ln_nu - ln_nu - ln_p) / nu
+    return min(max(math.log(t) if t > 0.0 else -math.inf, ln_lower), ln_upper)
+
+
 def student_t_quantile(q: float, nu: float) -> float:
     """Inverse CDF of the Student t distribution.
 
-    Bisection narrows the root of student_t_cdf(t) = q to a 1e-3 bracket,
-    then Newton steps using the t density polish it to full precision.
+    Solves on the smaller tail p = min(q, 1 - q), where 1 - q is exact for
+    q >= 1/2, in log space: Halley steps in ln t on ln P(T > t) = ln p from
+    _t_tail_start, or on ln P(0 < T < t) = ln(1/2 - p) for p > 1/4. Both
+    are concave in ln t, so the steps converge from either side, and p far
+    below machine epsilon inverts as well as p = 0.1; typically two or three
+    evaluations of _t_probabilities suffice.
     """
     if not nu > 0:
         raise DomainError(f"student_t_quantile requires nu > 0, got {nu}")
@@ -155,38 +269,33 @@ def student_t_quantile(q: float, nu: float) -> float:
         raise DomainError(f"student_t_quantile requires 0 < q < 1, got {q}")
     if q == 0.5:
         return 0.0
-    # Work with the upper-tail magnitude and restore the sign at the end.
-    qq = max(q, 1.0 - q)
-    lo, hi = 0.0, 1.0
-    while student_t_cdf(hi, nu) < qq:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            raise NonConvergenceError(
-                f"quantile bracket expansion failed for q={q}, nu={nu}"
+    p = min(q, 1.0 - q)
+    # Near the median P(T > t) = 1/2 - P(0 < T < t) cancels; solve on the
+    # central probability there, for which 1/2 - p is exact (p >= 1/4).
+    central = p > 0.25
+    target = math.log(0.5 - p) if central else math.log(p)
+    sign = 1.0 if central else -1.0  # of d ln P / d ln t
+    # the start's upper bound can pass the largest double; the steps then refuse
+    t = math.exp(min(_t_tail_start(math.log(p), p, nu), _LN_MAX_DOUBLE - 1.0))
+    for _ in range(_QUANTILE_STEPS):
+        ln_tail, ln_central, ln_tf = _t_probabilities(t, nu)
+        ln_prob = ln_central if central else ln_tail
+        excess = ln_prob - target
+        # rate = |d ln P / d ln t| = t f(t) / P; bend = d ln rate / d ln t
+        rate = math.exp(ln_tf - ln_prob)
+        bend = 1.0 - sign * rate - (nu + 1.0) / (1.0 + nu / (t * t))
+        newton = -sign * excess / rate
+        step = newton / max(1.0 + 0.5 * newton * bend, 0.5)  # Halley
+        step = min(max(step, -_MAX_LN_STEP), _MAX_LN_STEP)
+        # Step t itself, not ln t: at t ~ 1e300 an ulp of ln t is 1e-13 of t.
+        if math.log(t) + step > _LN_MAX_DOUBLE:
+            raise DomainError(
+                f"the t quantile of q={q} at nu={nu} exceeds the largest double"
             )
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if student_t_cdf(mid, nu) < qq:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(60):
-        err = student_t_cdf(t, nu) - qq
-        if err > 0.0:
-            hi = min(hi, t)
-        elif err < 0.0:
-            lo = max(lo, t)
-        step = err / central_t_pdf(t, nu)
-        t_new = t - step
-        if not lo <= t_new <= hi:
-            t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) <= 1e-15 * (1.0 + abs(t_new)):
-            t = t_new
-            break
-        t = t_new
-    return t if q > 0.5 else -t
+        t *= math.exp(step)
+        if abs(step) < 1e-8:  # the next step would be below 1e-20
+            return t if q > 0.5 else -t
+    raise NonConvergenceError(f"t quantile did not converge for q={q}, nu={nu}")
 
 
 # ---------------------------------------------------------------------------

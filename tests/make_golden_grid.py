@@ -8,7 +8,9 @@ n_eff, or the name of the exception it raised. tests/test_golden.py checks
 every entry against the current code. Regenerating rewrites every value, so
 a regeneration belongs in a change of its own that says why; otherwise an
 entry may only be edited by hand from an error to a finite value that agrees
-with perfbench/oracle.py, or from an untyped error to a typed one.
+with perfbench/oracle.py, from an untyped error to a typed one, or to a more
+accurate value: a t within 1e-14 of scipy's quantile, with ln BF10 within
+1e-10 of perfbench/oracle.py at that t.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ POOLS = {1: 3, 2: 3, 5: 2, 20: 1}  # pool size M -> number of pools
 R_VALUES = (0.2, 0.5, math.sqrt(2.0) / 2.0, 1.0, math.sqrt(2.0))
 OUT = Path(__file__).with_name("golden_grid.json")
 
-# ROADMAP item-2 inputs: they pass validation but give no finite answer.
+# Tail inputs: the first two give ln BF10 beyond a double's range; the p
+# below machine epsilon was refused until the inversion worked on the tail.
 TAIL_STUDIES = (
     {"n": 5000, "t": 40.0},
     {"n": 20000, "t": 60.0},

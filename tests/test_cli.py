@@ -93,7 +93,23 @@ class TestBf:
         assert "error" in capsys.readouterr().err
 
     def test_underflowing_p(self):
-        assert cli.main(["bf", "--n", "547", "--p", "1e-310"]) == 2
+        # p/2 rounds to 0: the only p in (0, 1) that cannot be inverted
+        assert cli.main(["bf", "--n", "547", "--p", "5e-324"]) == 2
+
+    def test_p_below_machine_epsilon(self, capsys):
+        argv = ["bf", "--n", "547", "--p", "1e-20", "--format", "json"]
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        direct = analyze_study(StudyRecord(trial="cli", arm="cli", n=547, p_value=1e-20))
+        assert payload == {
+            "t": direct.summary.t,
+            "nu": direct.summary.nu_bf,
+            "n_eff": direct.summary.n_eff,
+            "bf10": direct.bf10,
+            "bf01": direct.bf01,
+            "posterior_h1": direct.posterior_h1,
+            "label": str(direct.label),
+        }
 
     def test_nonconvergence_maps_to_exit_3(self, capsys, monkeypatch):
         def blow_up(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,13 @@ from trialbayes.engine import (
     t_from_p,
 )
 from trialbayes.numerics import DomainError, cauchy_logpdf, student_t_cdf
+
+
+def _two_sided_p(t, nu):
+    """2 P(T > t) = I_x(nu/2, 1/2) at x = nu / (nu + t^2), in 30-digit mpmath."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(nu) / (nu + mpmath.mpf(t) ** 2)
+        return float(mpmath.betainc(nu / 2.0, 0.5, 0, x, regularized=True))
 
 
 def _summary(t, n):
@@ -61,16 +69,39 @@ class TestTFromP:
             t_from_p(0.0, 10.0)
         with pytest.raises(DomainError):
             t_from_p(1.0, 10.0)
-        with pytest.raises(DomainError):
-            t_from_p(1e-301, 10.0)
+        # the one p left that cannot invert: its two-sided tail p/2 is 0
+        with pytest.raises(DomainError, match="underflows"):
+            t_from_p(5e-324, 10.0)
+        assert math.isfinite(t_from_p(5e-324, 10.0, "one_sided"))
 
-    @pytest.mark.parametrize("sidedness, q_gap", [("two_sided", 2.0), ("one_sided", 1.0)])
-    def test_refuses_exactly_when_q_rounds_to_one(self, sidedness, q_gap):
-        # 1 - p/2 (two-sided) or 1 - p (one-sided) rounds to 1 at p = q_gap * 2^-54
-        smallest = q_gap * 2.0**-54
-        with pytest.raises(DomainError, match="too small to invert"):
-            t_from_p(smallest, 10.0, sidedness)
-        assert math.isfinite(t_from_p(math.nextafter(smallest, 1.0), 10.0, sidedness))
+    @pytest.mark.parametrize("sidedness, share", [("two_sided", 1.0), ("one_sided", 0.5)])
+    def test_tiny_p_round_trips(self, sidedness, share):
+        # 1 - p/2 (or 1 - p) rounds to 1 at the first p; the tail itself does not
+        for p in (2.0 * 2.0**-54, 1e-20, 1e-301):
+            t = t_from_p(p, 10.0, sidedness)
+            assert math.isfinite(t)
+            assert share * _two_sided_p(t, 10.0) == pytest.approx(p, rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [1e4, 4e4, 1e5])
+    def test_round_trip_at_large_nu(self, nu):
+        # where lgamma(a + 1/2) - lgamma(a) would cancel to ~1e-11
+        for p in (0.5, 0.012, 1e-5, 1e-12, 1e-30, 1e-100, 1e-300):
+            t = t_from_p(p, nu)
+            assert _two_sided_p(t, nu) == pytest.approx(p, rel=1e-12)
+
+    @given(
+        st.floats(1.0, 1e5),
+        st.floats(-300.0, 0.0, exclude_max=True),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_and_monotone(self, nu, log10_p, towards_one):
+        p = 10.0**log10_p
+        larger = 10.0 ** (log10_p * (1.0 - towards_one))
+        assume(larger < 1.0)
+        t = t_from_p(p, nu)
+        assert _two_sided_p(t, nu) == pytest.approx(p, rel=1e-12)
+        assert t_from_p(larger, nu) <= t
 
 
 class TestSummarize:

@@ -3,19 +3,23 @@
 The grid (written by tests/make_golden_grid.py) holds seeded analyze_study
 and meta_bf inputs with the ln BF10 they gave at the commit it names, or the
 exception they raised. A numerical change may move ln BF10 by at most
-LN_BF_TOL; t, nu_bf and n_eff must not move at all.
+LN_BF_TOL; t, nu_bf and n_eff must not move at all. Each t inverted from a
+p must also agree with scipy's quantile to T_REL_TOL.
 """
 
 import json
 from pathlib import Path
 
 import pytest
+import scipy.special
 
-from make_golden_grid import run_pool, run_study
+from make_golden_grid import _config, _record, run_pool, run_study, summarize
 
 LN_BF_TOL = 1e-9
+T_REL_TOL = 1e-14
 
 GRID = json.loads(Path(__file__).with_name("golden_grid.json").read_text())["entries"]
+P_GIVEN = [e for e in GRID if e["kind"] == "study" and "p" in e["input"] and "t" in e]
 
 
 def _id(entry):
@@ -42,3 +46,12 @@ def test_golden_value(entry):
         )
     want = float.fromhex(entry["ln_bf10"])
     assert abs(got - want) <= LN_BF_TOL, f"ln BF10 {got!r}, golden {want!r}"
+
+
+@pytest.mark.parametrize("entry", P_GIVEN, ids=[_id(e) for e in P_GIVEN])
+def test_golden_t_agrees_with_scipy(entry):
+    case = entry["input"]
+    nu = summarize(_record(case), _config(case)).nu_inversion
+    tail = case["p"] / 2.0 if case.get("sidedness", "two_sided") == "two_sided" else case["p"]
+    want = max(-float(scipy.special.stdtrit(nu, tail)), 0.0)
+    assert float.fromhex(entry["t"]) == pytest.approx(want, rel=T_REL_TOL)

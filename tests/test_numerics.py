@@ -116,6 +116,14 @@ class TestStudentTCdf:
         with pytest.raises(DomainError):
             student_t_cdf(1.0, 0.0)
 
+    def test_large_nu_against_scipy(self):
+        # from nu = 30 on, tails beyond t^2 ~ 3 come from the BGRAT expansion
+        for nu in (30.0, 1e3, 4e4, 1e5):
+            for t in (0.3, 1.5, 2.5, 4.0, 8.0):
+                assert student_t_cdf(-t, nu) == pytest.approx(
+                    scipy.stats.t.cdf(-t, nu), rel=1e-13
+                )
+
 
 class TestStudentTQuantile:
     def test_median(self):
@@ -138,6 +146,31 @@ class TestStudentTQuantile:
     def test_extreme_quantiles(self):
         t = student_t_quantile(1 - 1e-12, 5.0)
         assert student_t_cdf(t, 5.0) == pytest.approx(1 - 1e-12, abs=1e-14)
+
+    def test_tiny_tails_closed_forms(self):
+        # nu = 1: t = -cot(pi q); nu = 2: t = (2q - 1) / sqrt(2q (1 - q))
+        for q in (0.3, 1e-5, 1e-20, 1e-100, 1e-300):
+            assert student_t_quantile(q, 1.0) == pytest.approx(
+                -1.0 / math.tan(math.pi * q), rel=1e-13
+            )
+            assert student_t_quantile(q, 2.0) == pytest.approx(
+                (2.0 * q - 1.0) / math.sqrt(2.0 * q * (1.0 - q)), rel=1e-13
+            )
+
+    def test_tiny_tails_against_scipy(self):
+        for nu in (3.5, 30.0, 546.0, 2e4, 1e5):
+            for q in (0.3, 1e-5, 1e-20, 1e-100):
+                assert student_t_quantile(q, nu) == pytest.approx(
+                    scipy.special.stdtrit(nu, q), rel=1e-13
+                )
+
+    def test_beyond_the_largest_double(self):
+        # nu = 1 puts t near 1 / (pi q), past 1.8e308 for q below 1.77e-309
+        with pytest.raises(DomainError, match="largest double"):
+            student_t_quantile(1e-309, 1.0)
+        assert student_t_quantile(1.8e-309, 1.0) == pytest.approx(
+            -1.0 / (math.pi * 1.8e-309), rel=1e-13
+        )
 
     def test_domain(self):
         with pytest.raises(DomainError):
