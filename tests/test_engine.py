@@ -80,14 +80,14 @@ class TestTFromP:
         for p in (2.0 * 2.0**-54, 1e-20, 1e-301):
             t = t_from_p(p, 10.0, sidedness)
             assert math.isfinite(t)
-            assert share * _two_sided_p(t, 10.0) == pytest.approx(p, rel=1e-12)
+            assert share * _two_sided_p(t, 10.0) == pytest.approx(p, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("nu", [1e4, 4e4, 1e5])
     def test_round_trip_at_large_nu(self, nu):
         # where lgamma(a + 1/2) - lgamma(a) would cancel to ~1e-11
         for p in (0.5, 0.012, 1e-5, 1e-12, 1e-30, 1e-100, 1e-300):
             t = t_from_p(p, nu)
-            assert _two_sided_p(t, nu) == pytest.approx(p, rel=1e-12)
+            assert _two_sided_p(t, nu) == pytest.approx(p, rel=1e-12, abs=0.0)
 
     @given(
         st.floats(1.0, 1e5),
@@ -100,7 +100,7 @@ class TestTFromP:
         larger = 10.0 ** (log10_p * (1.0 - towards_one))
         assume(larger < 1.0)
         t = t_from_p(p, nu)
-        assert _two_sided_p(t, nu) == pytest.approx(p, rel=1e-12)
+        assert _two_sided_p(t, nu) == pytest.approx(p, rel=1e-12, abs=0.0)
         assert t_from_p(larger, nu) <= t
 
 

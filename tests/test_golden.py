@@ -54,4 +54,4 @@ def test_golden_t_agrees_with_scipy(entry):
     nu = summarize(_record(case), _config(case)).nu_inversion
     tail = case["p"] / 2.0 if case.get("sidedness", "two_sided") == "two_sided" else case["p"]
     want = max(-float(scipy.special.stdtrit(nu, tail)), 0.0)
-    assert float.fromhex(entry["t"]) == pytest.approx(want, rel=T_REL_TOL)
+    assert float.fromhex(entry["t"]) == pytest.approx(want, rel=T_REL_TOL, abs=0.0)
