@@ -229,7 +229,7 @@ def _normal_tail_quantile(ln_p: float) -> float:
         1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
 
 
-def _t_tail_start(ln_p: float, p: float, nu: float) -> float:
+def _t_tail_start(p: float, nu: float) -> float:
     """ln of a first guess at the t with P(T > t) = p < 1/2.
 
     Hill's (1970, Comm. ACM 13:619) Cornish-Fisher expansion of the normal
@@ -239,6 +239,7 @@ def _t_tail_start(ln_p: float, p: float, nu: float) -> float:
     The upper bound is the better guess where the expansion fails: small nu
     and tiny p.
     """
+    ln_p = math.log(p)
     z = _normal_tail_quantile(ln_p)
     zz = z * z
     g1 = (zz + 1.0) * z / 4.0
@@ -276,7 +277,7 @@ def student_t_quantile(q: float, nu: float) -> float:
     target = math.log(0.5 - p) if central else math.log(p)
     sign = 1.0 if central else -1.0  # of d ln P / d ln t
     # the start's upper bound can pass the largest double; the steps then refuse
-    t = math.exp(min(_t_tail_start(math.log(p), p, nu), _LN_MAX_DOUBLE - 1.0))
+    t = math.exp(min(_t_tail_start(p, nu), _LN_MAX_DOUBLE - 1.0))
     for _ in range(_QUANTILE_STEPS):
         ln_tail, ln_central, ln_tf = _t_probabilities(t, nu)
         ln_prob = ln_central if central else ln_tail
