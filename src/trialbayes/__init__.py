@@ -38,9 +38,6 @@ from .numerics import (  # noqa: E402
     DomainError,
     NonConvergenceError,
     QuadratureResult,
-    central_t_pdf,
     integrate,
-    reg_inc_beta,
-    student_t_cdf,
     student_t_quantile,
 )

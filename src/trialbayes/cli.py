@@ -112,6 +112,10 @@ def _parse_groups(specs: list[str]) -> dict:
             if not sep:
                 raise UsageError(f"group member {member!r} is not 'TRIAL.ARM'")
             pairs.append((trial, arm))
+        if not pairs:
+            raise UsageError(f"--group {name!r} has no members")
+        if name in groups:
+            raise UsageError(f"--group {name!r} is given more than once")
         groups[name] = pairs
     return groups
 

@@ -13,13 +13,14 @@ Every integral runs to the one fixed tolerance QUADRATURE_REL_TOL.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numerics import (
+    _LN_MAX_DOUBLE,
     LN_2PI,
+    QUADRATURE_REL_TOL,
     DomainError,
     cauchy_logpdf,
     central_t_logpdf,
@@ -57,13 +58,10 @@ ONE_SIDED = "one_sided"
 
 DEFAULT_CAUCHY_SCALE = math.sqrt(2.0) / 2.0
 
-QUADRATURE_REL_TOL = 1e-8  # every Bayes factor integral, in ln
 # The g-form's window ends lie this far below the integrand's peak: past
 # integrate's own 36, so that its outermost nodes, which lie inside the
 # window, clear that drop and it takes no widening step.
 _G_WINDOW_DROP = 40.0
-
-_LN_MAX_DOUBLE = math.log(sys.float_info.max)  # ln BF beyond +-this has no float
 
 # Jeffreys bins on B = max(BF10, 1/BF10); half-open [lower, upper).
 JEFFREYS_BINS = (
@@ -121,6 +119,10 @@ class StudyRecord:
             raise DomainError(
                 f"study {self.trial}/{self.arm}: p out of range: {self.p_value}"
             )
+        if self.t_value is not None and not math.isfinite(self.t_value):
+            raise DomainError(
+                f"study {self.trial}/{self.arm}: t must be finite, got {self.t_value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,8 @@ class TTestSummary:
     n_eff: float
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise DomainError(f"t-test summary t must be finite, got {self.t}")
         if not (self.nu_inversion > 0 and self.nu_bf > 0 and self.n_eff > 0):
             raise DomainError(f"invalid t-test summary: {self}")
 
@@ -149,8 +153,10 @@ class AnalysisConfig:
     sidedness: str = TWO_SIDED
 
     def __post_init__(self):
-        if not self.cauchy_scale_r > 0:
-            raise DomainError(f"cauchy_scale_r must be > 0, got {self.cauchy_scale_r}")
+        if not 0.0 < self.cauchy_scale_r < math.inf:
+            raise DomainError(
+                f"cauchy_scale_r must be finite and > 0, got {self.cauchy_scale_r}"
+            )
         if not 0.0 <= self.prior_h1 <= 1.0:
             raise DomainError(f"prior_h1 must be in [0, 1], got {self.prior_h1}")
         if self.sidedness not in (TWO_SIDED, ONE_SIDED):
@@ -244,8 +250,8 @@ def jzs_bf_g_form(
     the peak as it is and makes the upper tail doubly exponential too; the
     window spans where h lies within _G_WINDOW_DROP of its peak.
     """
-    if not r > 0:
-        raise DomainError(f"prior scale r must be > 0, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"prior scale r must be finite and > 0, got {r}")
     nu, n_eff = summary.nu_bf, summary.n_eff
     k = t * t / nu
     b = 0.5 * (nu + 1.0) * k
@@ -313,12 +319,11 @@ def _delta_marginal(studies, r: float):
     noncentral t densities mixed over delta, over their central t densities."""
     studies = [(t, nu, math.sqrt(n_eff)) for t, nu, n_eff in studies]
     ln_null = sum(central_t_logpdf(t, nu) for t, nu, _ in studies)
-    ts, nus, root_ns = (np.array(column)[:, None] for column in zip(*studies))
 
     def log_f(deltas):
-        # one kernel call over studies x delta nodes, summed over the studies
-        ln_f = noncentral_t_logpdf(ts, nus, root_ns * deltas)
-        return cauchy_logpdf(deltas, r) + ln_f.sum(axis=0)
+        # one kernel call per study over the delta nodes, added in study order
+        ln_f = sum(noncentral_t_logpdf(t, nu, root_n * deltas) for t, nu, root_n in studies)
+        return cauchy_logpdf(deltas, r) + ln_f
 
     # Laplace guess: study i alone puts delta near t / sqrt(n_eff) with
     # precision n_eff / (1 + t^2 / (2 nu)); pool those as normal likelihoods.
@@ -334,8 +339,8 @@ def jzs_bf_delta_form(
     t: float, summary: TTestSummary, r: float = DEFAULT_CAUCHY_SCALE
 ) -> float:
     """BF10 via the marginal-likelihood integral over the effect size delta."""
-    if not r > 0:
-        raise DomainError(f"prior scale r must be > 0, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"prior scale r must be finite and > 0, got {r}")
     return _bf_from_ln(_delta_marginal([(t, summary.nu_bf, summary.n_eff)], r)[0])
 
 

@@ -10,6 +10,7 @@ underflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .engine import (
@@ -32,8 +33,8 @@ class MetaInput:
     def __post_init__(self):
         if len(self.studies) < 1:
             raise DomainError("meta-analysis requires at least one study")
-        if not self.r > 0:
-            raise DomainError(f"prior scale r must be > 0, got {self.r}")
+        if not 0.0 < self.r < math.inf:
+            raise DomainError(f"prior scale r must be finite and > 0, got {self.r}")
         object.__setattr__(self, "studies", tuple(self.studies))
 
 

@@ -17,10 +17,8 @@ __all__ = [
     "DomainError",
     "NonConvergenceError",
     "QuadratureResult",
-    "reg_inc_beta",
-    "student_t_cdf",
+    "QUADRATURE_REL_TOL",
     "student_t_quantile",
-    "central_t_pdf",
     "central_t_logpdf",
     "noncentral_t_logpdf",
     "cauchy_logpdf",
@@ -33,6 +31,7 @@ _LN_2 = math.log(2.0)
 _LN_MAX_DOUBLE = math.log(1.7976931348623157e308)
 _QUANTILE_STEPS = 40  # Halley steps from the start; a handful are used
 _MAX_LN_STEP = 50.0  # a longer step in ln t is cut to this length
+QUADRATURE_REL_TOL = 1e-8  # integrate's default, and every Bayes factor integral's
 
 
 class DomainError(ValueError):
@@ -95,27 +94,6 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     raise NonConvergenceError(
         f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}"
     )
-
-
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if not (a > 0 and b > 0):
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    # Continued fraction converges fast on one side of the mean a/(a+b).
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +164,7 @@ def _t_probabilities(t: float, nu: float) -> tuple[float, float, float]:
     ln_1mx = -math.log1p(1.0 / w) if w > 1.0 else math.log(w) - ln_1pw
     ln_gamma_ratio = _ln_gamma_half_ratio(a)
     ln_front = ln_gamma_ratio - 0.5 * _LN_PI - a * ln_1pw + 0.5 * ln_1mx
-    if w <= 1.5 / (a + 1.0):  # reg_inc_beta's switch: x >= (a + 1) / (a + 5/2)
+    if w <= 1.5 / (a + 1.0):  # 1 - x <= (3/2) / (a + 5/2): the fraction converges fast
         central = 2.0 * math.exp(ln_front) * _beta_cf(0.5, a, w / (1.0 + w))
         return math.log1p(-central) - _LN_2, math.log(central) - _LN_2, ln_front
     if a >= 15.0 and w < 1.0 and a * ln_1pw < 600.0:  # erfc(sqrt(z)) > 1e-262
@@ -194,16 +172,6 @@ def _t_probabilities(t: float, nu: float) -> tuple[float, float, float]:
     else:
         ln_tail = ln_front + math.log(_beta_cf(a, 0.5, 1.0 / (1.0 + w)) / a) - _LN_2
     return ln_tail, math.log1p(-2.0 * math.exp(ln_tail)) - _LN_2, ln_front
-
-
-def student_t_cdf(t: float, nu: float) -> float:
-    """CDF of the central Student t distribution with nu > 0 df."""
-    if not nu > 0:
-        raise DomainError(f"student_t_cdf requires nu > 0, got {nu}")
-    if t == 0.0:
-        return 0.5
-    tail = math.exp(_t_probabilities(abs(t), nu)[0])
-    return tail if t < 0.0 else 1.0 - tail
 
 
 def central_t_logpdf(t: float, nu: float) -> float:
@@ -214,11 +182,6 @@ def central_t_logpdf(t: float, nu: float) -> float:
         - 0.5 * math.log(nu * math.pi)
         - 0.5 * (nu + 1.0) * math.log1p(t * t / nu)
     )
-
-
-def central_t_pdf(t: float, nu: float) -> float:
-    """Density of the central Student t distribution."""
-    return math.exp(central_t_logpdf(t, nu))
 
 
 def _normal_tail_quantile(ln_p: float) -> float:
@@ -490,38 +453,24 @@ def _nct_panel_sums(edges, t, nu, mu, c, peak) -> np.ndarray:
     return sums.sum(axis=0)
 
 
-def noncentral_t_logpdf(t, nu, mu):
-    """Log density of the noncentral t distribution with noncentrality mu.
+def noncentral_t_logpdf(t: float, nu: float, mu):
+    """Log density at t of the noncentral t distribution with nu > 0 degrees
+    of freedom and noncentrality mu.
 
-    t, nu and mu broadcast together; the result has their broadcast shape,
-    and a scalar call returns a float. mu = 0 gives central_t_logpdf.
+    t and nu are numbers; mu is a number, which gives a float, or an array,
+    which gives an array of its shape, evaluated _NCT_ROWS densities at a
+    time. mu = 0 gives central_t_logpdf.
     """
-    t, nu, mu = (np.asarray(a, dtype=float) for a in (t, nu, mu))
-    if not np.all(nu > 0):
-        raise DomainError(
-            f"noncentral_t_logpdf requires nu > 0, got {float(nu[~(nu > 0)][0])}"
-        )
-    # math.lgamma has no numpy form; nu usually holds one value per study
-    c = np.array([_nct_log_constant(v) for v in nu.ravel().tolist()]).reshape(nu.shape)
-    shape = np.broadcast_shapes(t.shape, nu.shape, mu.shape)
-    t_nu_shape = np.broadcast_shapes(t.shape, nu.shape)
-    # In C order, runs of `run` densities share t and nu: the trailing axes
-    # along which only mu varies. Each run is evaluated in blocks of at most
-    # _NCT_ROWS densities; an element-wise call has runs of one.
-    run = 1
-    for size, t_nu_size in zip(shape[::-1], t_nu_shape[::-1] + (1,) * len(shape)):
-        if t_nu_size != 1:
-            break
-        run *= size
-    t, nu, mu, c = (np.broadcast_to(a, shape).flat for a in (t, nu, mu, c))
-    ln_f = np.empty(shape)
-    out = ln_f.reshape(-1)
-    for start in range(0, out.size, max(run, 1)):
-        shared = float(t[start]), float(nu[start])
-        for i in range(start, start + run, _NCT_ROWS):
-            block = slice(i, min(i + _NCT_ROWS, start + run))
-            out[block] = _nct_rows(*shared, mu[block], float(c[start]))
-    return _scalar_or_array(ln_f)
+    t, nu = float(t), float(nu)
+    if not nu > 0:
+        raise DomainError(f"noncentral_t_logpdf requires nu > 0, got {nu}")
+    mu = np.asarray(mu, dtype=float)
+    c = _nct_log_constant(nu)
+    flat = mu.reshape(-1)
+    ln_f = np.empty(flat.shape)
+    for i in range(0, flat.size, _NCT_ROWS):
+        ln_f[i:i + _NCT_ROWS] = _nct_rows(t, nu, flat[i:i + _NCT_ROWS], c)
+    return _scalar_or_array(ln_f.reshape(mu.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +494,9 @@ _LN_DROP = 36.0  # the window ends lie this far below the peak (e^-36 ~ 2e-16)
 _MAX_EVALUATIONS = 200_000
 
 
-def integrate(log_f, centre: float, scale: float, rel_tol: float = 1e-8) -> QuadratureResult:
+def integrate(
+    log_f, centre: float, scale: float, rel_tol: float = QUADRATURE_REL_TOL
+) -> QuadratureResult:
     """ln of the integral of exp(log_f(x)) over the real line.
 
     log_f maps a 1-D float array of abscissae to their ln integrand values.

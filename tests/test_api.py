@@ -63,6 +63,9 @@ def test_quadrature_names():
         "ln_value", "abs_error_estimate", "evaluations",
     ]
     assert engine.integrate is numerics.integrate
+    # one tolerance: integrate's default, which io reports through the engine
+    rel_tol = inspect.signature(numerics.integrate).parameters["rel_tol"].default
+    assert rel_tol is numerics.QUADRATURE_REL_TOL is engine.QUADRATURE_REL_TOL
     assert not hasattr(meta, "integrate")
 
 
@@ -74,7 +77,8 @@ def test_gauss_kronrod_domains_are_gone(name):
 
 @pytest.mark.parametrize(
     "name",
-    ["ln_gamma", "cauchy_pdf", "noncentral_t_pdf", "analyze_summary", "_jzs_delta_form"],
+    ["ln_gamma", "cauchy_pdf", "noncentral_t_pdf", "analyze_summary", "_jzs_delta_form",
+     "reg_inc_beta", "student_t_cdf", "central_t_pdf"],
 )
 def test_test_only_wrappers_are_gone(name):
     for module in (trialbayes, engine, meta, numerics):

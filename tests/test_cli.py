@@ -125,6 +125,17 @@ class TestBf:
         assert cli.main(["bf", "--n", n, "--t", t]) == 3
         assert "does not fit in a double" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--t", "inf"], "t must be finite"),
+        (["--t", "1e400"], "t must be finite"),
+        (["--t", "nan"], "t must be finite"),
+        (["--t", "2.5", "--scale", "inf"], "cauchy_scale_r must be finite"),
+        (["--t", "2.5", "--scale", "nan"], "cauchy_scale_r must be finite"),
+    ])
+    def test_non_finite_input_is_data_error(self, capsys, flags, field):
+        assert cli.main(["bf", "--n", "100", *flags]) == 2
+        assert field in capsys.readouterr().err
+
 
 class TestMeta:
     def test_pooled_group(self, capsys, dataset_csv):
@@ -156,6 +167,26 @@ class TestMeta:
         assert cli.main(["meta", "--input", dataset_csv, "--group", "nodots"]) == 1
         assert cli.main(["meta", "--input", dataset_csv,
                          "--group", "x=EMERGE-high"]) == 1
+
+    @pytest.mark.parametrize("groups, message", [
+        (["a=EMERGE.low,ENGAGE.low", "a=EMERGE.high"], "more than once"),
+        (["a=,"], "no members"),
+    ])
+    def test_repeated_or_empty_group_is_usage_error(self, capsys, dataset_csv,
+                                                    groups, message):
+        flags = [arg for group in groups for arg in ("--group", group)]
+        assert cli.main(["meta", "--input", dataset_csv, *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert cli.main(["report", "--input", dataset_csv, *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert cli.main(["report", *flags]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_t_in_dataset_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("trial,arm,n,p,t,design\nA,b,50,,1e400,two_sample\n")
+        assert cli.main(["meta", "--input", str(path), "--group", "x=A.b"]) == 2
+        assert "row 2" in capsys.readouterr().err
 
     def test_members_printed_as_trial_dot_arm(self, capsys, dataset_csv):
         argv = ["meta", "--input", dataset_csv, "--format", "json",

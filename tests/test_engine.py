@@ -23,7 +23,8 @@ from trialbayes.engine import (
     summarize,
     t_from_p,
 )
-from trialbayes.numerics import DomainError, cauchy_logpdf, student_t_cdf
+from trialbayes.meta import MetaInput
+from trialbayes.numerics import DomainError, cauchy_logpdf
 
 
 def _two_sided_p(t, nu):
@@ -51,13 +52,11 @@ class TestTFromP:
         for nu in [1.0, 10.0, 546.0, 554.0]:
             for p in [0.001, 0.012, 0.09, 0.24, 0.5, 0.82, 0.999]:
                 t = t_from_p(p, nu)
-                assert 2.0 * (1.0 - student_t_cdf(t, nu)) == pytest.approx(
-                    p, abs=1e-9
-                )
+                assert _two_sided_p(t, nu) == pytest.approx(p, abs=1e-9)
 
     def test_one_sided(self):
         t = t_from_p(0.05, 100.0, "one_sided")
-        assert 1.0 - student_t_cdf(t, 100.0) == pytest.approx(0.05, abs=1e-12)
+        assert 0.5 * _two_sided_p(t, 100.0) == pytest.approx(0.05, abs=1e-12)
         assert t < t_from_p(0.05, 100.0, "two_sided")
 
     def test_near_one_gives_near_zero(self):
@@ -175,6 +174,13 @@ class TestStudyRecordValidation:
         with pytest.raises(DomainError):
             StudyRecord(trial="x", arm="y", n=10, p_value=0.05, design="paired")
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_t(self, t):
+        with pytest.raises(DomainError, match="t must be finite"):
+            StudyRecord(trial="x", arm="y", n=10, t_value=t)
+        with pytest.raises(DomainError, match="t must be finite"):
+            TTestSummary(t=t, nu_inversion=9.0, nu_bf=18.0, n_eff=5.0)
+
 
 class TestConfigValidation:
     def test_defaults(self):
@@ -189,6 +195,16 @@ class TestConfigValidation:
             AnalysisConfig(prior_h1=1.5)
         with pytest.raises(DomainError):
             AnalysisConfig(sidedness="lopsided")
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_rejects_non_finite_scale(self, r):
+        with pytest.raises(DomainError, match="cauchy_scale_r must be finite"):
+            AnalysisConfig(cauchy_scale_r=r)
+        with pytest.raises(DomainError, match="r must be finite"):
+            MetaInput(studies=(_summary(1.0, 100),), r=r)
+        for form in (jzs_bf_delta_form, jzs_bf_g_form):
+            with pytest.raises(DomainError, match="r must be finite"):
+                form(1.0, _summary(1.0, 100), r=r)
 
 
 class TestJzsBayesFactor:

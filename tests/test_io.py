@@ -62,6 +62,12 @@ class TestParseDataset:
         with pytest.raises(DatasetError, match=r"row 2.*p out of range"):
             parse_dataset(bad, "csv")
 
+    @pytest.mark.parametrize("t", ["inf", "-inf", "1e400", "nan"])
+    def test_non_finite_t(self, t):
+        bad = GOOD_CSV.replace(",0.09,,", f",,{t},")
+        with pytest.raises(DatasetError, match=r"row 2.*t must be finite"):
+            parse_dataset(bad, "csv")
+
     def test_both_p_and_t(self):
         bad = GOOD_CSV.replace(",0.09,,", ",0.09,1.7,")
         with pytest.raises(DatasetError, match="exactly one of p and t"):
