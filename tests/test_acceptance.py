@@ -7,10 +7,11 @@ listed with the computed value so a regression is immediately attributable.
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.stats
+
+from test_numerics import _central_t_logpdf_mpmath
 
 from trialbayes.engine import (
     DEFAULT_CAUCHY_SCALE,
@@ -176,10 +177,7 @@ def test_criterion_7_numerics_contracts():
     # own t.pdf is 6.6e-13 off at nu = 1092
     for nu in (1.0, 10.0, 1092.0):
         for t in (0.0, 1.18, 2.52):
-            with mpmath.workdps(30):
-                a = mpmath.mpf(nu) / 2
-                want = float(mpmath.gamma(a + 0.5) / mpmath.gamma(a) / mpmath.sqrt(
-                    2 * a * mpmath.pi) * (1 + mpmath.mpf(t) ** 2 / nu) ** (-a - 0.5))
+            want = math.exp(_central_t_logpdf_mpmath(t, nu))
             rel = abs(math.exp(noncentral_t_logpdf(t, nu, 0.0)) - want) / want
             if rel > 1e-12:
                 failures.append(f"central reduction t={t} nu={nu}: rel {rel:.2e}")

@@ -26,7 +26,6 @@ from trialbayes.numerics import (
 )
 
 
-
 @functools.cache
 def _reference_ln_f():
     """{(t, nu, mu): ln f} from tests/reference_values.json (make_reference.py)."""
@@ -127,6 +126,13 @@ class TestRegIncBeta:
 class TestStudentTCdf:
     """The Student t tail and central probabilities that the quantile
     inverts, through _t_probabilities."""
+
+    def test_symmetry_point(self):
+        # as t -> 0 the tail is 1/2 to the last bit and the central part 0
+        for nu in [1.0, 2.0, 546.0]:
+            ln_tail, ln_central, _ = numerics._t_probabilities(1e-100, nu)
+            assert math.exp(ln_tail) == 0.5
+            assert math.exp(ln_central) < 1e-99
 
     def test_cauchy_closed_form(self):
         _, ln_central, _ = numerics._t_probabilities(1.0, 1.0)
